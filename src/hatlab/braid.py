@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class BraidError(ValueError):
@@ -32,24 +32,6 @@ class BraidError(ValueError):
 
 
 _LETTERS = "xyzw"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A single Artin generator sigma_index^sign with sign = +1 or -1."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise BraidError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise BraidError(f"generator sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def letter(self) -> int:
-        return self.index * self.sign
 
 
 @dataclass(frozen=True)
@@ -79,9 +61,6 @@ class BraidWord:
 
     def __str__(self) -> str:
         return braid_text(self)
-
-    def generators(self) -> tuple[Generator, ...]:
-        return tuple(Generator(abs(g), 1 if g > 0 else -1) for g in self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
@@ -127,10 +106,6 @@ class Permutation:
 
 def identity(strands: int) -> BraidWord:
     return BraidWord(strands)
-
-
-def word(strands: int, letters: Iterable[int]) -> BraidWord:
-    return BraidWord(strands, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +375,6 @@ class NormalForm:
     strands: int
     power: int
     factors: tuple[tuple[int, ...], ...]
-
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
 
 def _descents(p: tuple[int, ...]) -> set[int]:

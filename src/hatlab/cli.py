@@ -2,7 +2,8 @@
 cover bookkeeping, and reproduction reports.
 
 Human-readable TSV by default; ``--json`` where structured output makes
-sense.  Report commands exit nonzero iff any line fails.
+sense.  Report commands exit nonzero iff any line fails.  An input error
+prints one ``hatlab: error:`` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import sys
 from . import bounds as bounds_mod
 from . import covers as covers_mod
 from . import curves as curves_mod
-from .braid import braid_text, equal, parse_braid, self_linking
-from .cobordism import parse_script, run_script
+from .braid import BraidError, braid_text, equal, parse_braid, self_linking
+from .cobordism import ScriptError, parse_script, run_script
 from .corpus import verify_corpus
-from .db import get_knot
+from .db import DatabaseError, get_knot
 
 
 def _cmd_slk(args) -> int:
@@ -264,7 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (BraidError, ScriptError, DatabaseError, bounds_mod.BoundsError,
+            curves_mod.SearchError, covers_mod.CoverError, OSError) as e:
+        print(f"hatlab: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,13 +25,21 @@ Script files are line-oriented text::
     destab
     end: xyxyxyxyxyxyxyxyxyxyxy
 
-Positions are 0-based indices into the current letter sequence.  Blank
-lines and ``#`` comments are ignored when reading.
+The headers ``strands: <int>`` and ``start: <word>`` come first, then the
+moves, then an optional ``end: <word>``; each header appears at most once.
+The moves are ``ins <position> <generator>``, ``cc <position> <generator>``,
+``conj <word>``, ``cyc <shift>``, ``eq <word>``, ``stab +`` or ``stab -``, and
+``destab``.  Positions (0-based letter indices) and shifts are integers; a
+generator is one positive letter and a word is braid text without spaces
+(``1`` is the empty word), both in the strand count current at that line.
+Blank lines and ``#`` comments are ignored; any other malformed line raises
+ScriptError with its line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 from .braid import (
@@ -41,8 +49,8 @@ from .braid import (
     closure_components,
     conjugate,
     cyclic_permute,
+    delta_square_script,
     equal,
-    exponent_sum,
     free_reduce,
     full_twist,
     inverse,
@@ -55,7 +63,7 @@ from .braid import (
 
 
 class ScriptError(ValueError):
-    """A move failed to apply or certify during replay."""
+    """A script line is malformed, or a move failed to apply or certify during replay."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,6 @@ class MarkovStabilize:
 @dataclass(frozen=True)
 class MarkovDestabilize:
     pass
-
-
-def negative_stabilize() -> MarkovStabilize:
-    """The transverse stabilization: MarkovStabilize(-1), flagged in ledgers."""
-    return MarkovStabilize(-1)
 
 
 Move = Union[
@@ -261,81 +264,101 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 # ---------------------------------------------------------------------------
 # Script file format
 # ---------------------------------------------------------------------------
+# Each operand kind has one reader (token, current strand count -> value) and
+# one writer (value -> token).  They call parse_braid/braid_text through the
+# module names at call time, so a wrapper bound to those names sees every call.
 
-def _gen_index(token: str, strands: int) -> int:
+def _read_int(token: str, strands: int) -> int:
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ScriptError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
+def _read_generator(token: str, strands: int) -> int:
     w = parse_braid(token, strands)
     if len(w.letters) != 1 or w.letters[0] < 0:
         raise ScriptError(f"expected a single positive generator, got {token!r}")
     return w.letters[0]
 
 
+def _read_sign(token: str, strands: int) -> int:
+    if token not in ("+", "-"):
+        raise ScriptError(f"expected sign '+' or '-', got {token!r}")
+    return 1 if token == "+" else -1
+
+
+def _read_word(token: str, strands: int) -> BraidWord:
+    return BraidWord(strands) if token == "1" else parse_braid(token, strands)
+
+
+_INT = (_read_int, str)
+_GENERATOR = (_read_generator, lambda i: braid_text(BraidWord(i + 1, (i,))))
+_WORD = (_read_word, lambda w: braid_text(w) or "1")
+_SIGN = (_read_sign, lambda sign: "+" if sign == 1 else "-")
+
+# token -> (move class, operand kinds in dataclass field order, strand change)
+_MOVES = {
+    "ins": (InsertPositive, (_INT, _GENERATOR), 0),
+    "cc": (CrossingChange, (_INT, _GENERATOR), 0),
+    "conj": (Conjugate, (_WORD,), 0),
+    "cyc": (CyclicPermute, (_INT,), 0),
+    "eq": (RewriteEqual, (_WORD,), 0),
+    "stab": (MarkovStabilize, (_SIGN,), 1),
+    "destab": (MarkovDestabilize, (), -1),
+}
+_TOKENS = {cls: (token, kinds) for token, (cls, kinds, _) in _MOVES.items()}
+# Headers in the order they must appear; each appears at most once.
+_HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
+
+
 def parse_script(text: str, name: str = "") -> MoveScript:
-    strands: Optional[int] = None
-    start: Optional[BraidWord] = None
-    end: Optional[BraidWord] = None
+    """Read a script file; a malformed line raises ScriptError with its line number."""
+    headers: dict = {}
     moves: list[Move] = []
-    cur_strands = 0
-    for raw in text.splitlines():
+    strands = 0
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("strands:"):
-            strands = int(line.split(":", 1)[1])
-            cur_strands = strands
-            continue
-        if line.startswith("start:"):
-            if strands is None:
-                raise ScriptError("strands must come before start")
-            start = parse_braid(line.split(":", 1)[1], strands)
-            continue
-        if line.startswith("end:"):
-            end = parse_braid(line.split(":", 1)[1], cur_strands)
-            continue
-        parts = line.split()
-        op = parts[0]
-        if op == "ins":
-            moves.append(InsertPositive(int(parts[1]), _gen_index(parts[2], cur_strands)))
-        elif op == "cc":
-            moves.append(CrossingChange(int(parts[1]), _gen_index(parts[2], cur_strands)))
-        elif op == "conj":
-            moves.append(Conjugate(parse_braid(parts[1], cur_strands)))
-        elif op == "cyc":
-            moves.append(CyclicPermute(int(parts[1])))
-        elif op == "eq":
-            moves.append(RewriteEqual(parse_braid(parts[1], cur_strands)))
-        elif op == "stab":
-            sign = 1 if parts[1] == "+" else -1
-            moves.append(MarkovStabilize(sign))
-            cur_strands += 1
-        elif op == "destab":
-            moves.append(MarkovDestabilize())
-            cur_strands -= 1
-        else:
-            raise ScriptError(f"unknown script line {raw!r}")
-    if strands is None or start is None:
-        raise ScriptError("script needs 'strands:' and 'start:' headers")
-    return MoveScript(start=start, moves=tuple(moves), declared_end=end, name=name)
+        try:
+            key, colon, value = line.partition(":")
+            if colon:
+                if key not in _HEADERS:
+                    raise ScriptError(f"unknown header '{key}:'")
+                if key in headers:
+                    raise ScriptError(f"repeated header '{key}:'")
+                expected = list(_HEADERS)[len(headers)]
+                if key != expected:
+                    raise ScriptError(f"expected header '{expected}:', got '{key}:'")
+                read, _ = _HEADERS[key]
+                headers[key] = read(value.strip(), strands)
+                if key == "strands":
+                    strands = headers[key]
+                continue
+            if len(headers) != 2:
+                raise ScriptError("moves must come after 'start:' and before 'end:'")
+            token, *operands = line.split()
+            if token not in _MOVES:
+                raise ScriptError(f"unknown move {token!r}")
+            cls, kinds, strand_change = _MOVES[token]
+            if len(operands) != len(kinds):
+                raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
+            moves.append(cls(*(read(t, strands) for t, (read, _) in zip(operands, kinds))))
+            strands += strand_change
+        except (ScriptError, BraidError) as e:
+            raise ScriptError(f"line {lineno}: {e}") from e
+    if "start" not in headers:
+        raise ScriptError(f"line {len(lines) + 1}: script needs 'strands:' and 'start:' headers")
+    return MoveScript(headers["start"], tuple(moves), headers.get("end"), name)
 
 
 def serialize_script(script: MoveScript) -> str:
     lines = [f"strands: {script.start.strands}", f"start: {braid_text(script.start)}"]
     for move in script.moves:
-        if isinstance(move, InsertPositive):
-            lines.append(f"ins {move.position} {braid_text(BraidWord(move.index + 1, (move.index,)))}")
-        elif isinstance(move, CrossingChange):
-            lines.append(f"cc {move.position} {braid_text(BraidWord(move.index + 1, (move.index,)))}")
-        elif isinstance(move, Conjugate):
-            lines.append(f"conj {braid_text(move.word)}")
-        elif isinstance(move, CyclicPermute):
-            lines.append(f"cyc {move.k}")
-        elif isinstance(move, RewriteEqual):
-            lines.append(f"eq {braid_text(move.target)}")
-        elif isinstance(move, MarkovStabilize):
-            lines.append(f"stab {'+' if move.sign == 1 else '-'}")
-        elif isinstance(move, MarkovDestabilize):
-            lines.append("destab")
-        else:
-            raise ScriptError(f"cannot serialize {move!r}")
+        token, kinds = _TOKENS[type(move)]
+        operands = [write(getattr(move, f.name)) for f, (_, write) in zip(fields(move), kinds)]
+        lines.append(" ".join([token, *operands]))
     if script.declared_end is not None:
         lines.append(f"end: {braid_text(script.declared_end)}")
     return "\n".join(lines) + "\n"
@@ -450,9 +473,9 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         else:
             # u s^2 u^-1: grow the square into a full twist in place.
             positive += 1
-            for pos, j in delta_square_insertion_moves(n, f[k], mid):
-                moves.append(InsertPositive(pos, j))
-                moves.append(InsertPositive(pos, j))
+            for pos, j in delta_square_script(n, f[k]):
+                moves.append(InsertPositive(mid + pos, j))
+                moves.append(InsertPositive(mid + pos, j))
 
     m = positive
     end = BraidWord(n, beta0.letters + full_twist(n).letters * m)
@@ -460,13 +483,6 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     script = MoveScript(start=w, moves=tuple(moves), declared_end=end)
     run_script(script)  # certify before handing out
     return script
-
-
-def delta_square_insertion_moves(n: int, index: int, offset: int) -> list[tuple[int, int]]:
-    """delta_square_script positions shifted to a square sitting at ``offset``."""
-    from .braid import delta_square_script
-
-    return [(offset + pos, j) for pos, j in delta_square_script(n, index)]
 
 
 def _aligning_conjugator(w: BraidWord, beta0: BraidWord) -> BraidWord:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .braid import braid_text, equal
+from .braid import BraidError, braid_text, equal
 from .cobordism import MoveScript, ScriptError, parse_script, run_script
 from .db import KnotRecord, load_db
 
@@ -62,12 +62,12 @@ def load_script(ref: str) -> MoveScript:
 def replay_record(rec: KnotRecord) -> ScriptResult:
     if rec.script_ref is None:
         return ScriptResult(rec.name, True, "no script (already at target)")
-    script = load_script(rec.script_ref)
-    if not equal(script.start, rec.braid):
-        return ScriptResult(rec.name, False, "script start differs from stored braid")
     try:
+        script = load_script(rec.script_ref)
+        if not equal(script.start, rec.braid):
+            return ScriptResult(rec.name, False, "script start differs from stored braid")
         end, ledger = run_script(script)
-    except ScriptError as e:
+    except (ScriptError, BraidError, OSError) as e:
         return ScriptResult(rec.name, False, str(e))
     return ScriptResult(
         name=rec.name,

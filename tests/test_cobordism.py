@@ -1,6 +1,7 @@
 """The rewriting DSL: moves, ledger accounting, script files, torus scripts."""
 
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,9 @@ from hatlab.cobordism import (
     serialize_script,
     to_torus_script,
 )
+
+SCRIPTS = resources.files("hatlab").joinpath("data", "scripts")
+HEAD = "strands: 3\nstart: xy\n"
 
 
 def test_empty_script_is_identity_cobordism():
@@ -154,6 +158,69 @@ def test_script_file_round_trip():
     # not a runnable script (the cc has no negative letter); parse/serialize only
     script = parse_script(text)
     assert serialize_script(script) == text
+    for path in SCRIPTS.iterdir():
+        corpus_text = path.read_text()
+        assert serialize_script(parse_script(corpus_text)) == corpus_text, path.name
+
+
+@st.composite
+def _move_scripts(draw):
+    n = draw(st.integers(1, 6))
+
+    def word(strands):
+        letters = [g for g in range(1 - strands, strands) if g]
+        return BraidWord(strands, tuple(draw(st.lists(st.sampled_from(letters), max_size=8))
+                                        if letters else ()))
+
+    start = word(n)
+    moves = []
+    for _ in range(draw(st.integers(0, 10))):
+        kinds = ["conj", "cyc", "eq", "stab"] + (["ins", "cc", "destab"] if n > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("ins", "cc"):
+            cls = InsertPositive if kind == "ins" else CrossingChange
+            moves.append(cls(draw(st.integers(0, 40)), draw(st.integers(1, n - 1))))
+        elif kind == "conj":
+            moves.append(Conjugate(word(n)))
+        elif kind == "cyc":
+            moves.append(CyclicPermute(draw(st.integers(-40, 40))))
+        elif kind == "eq":
+            moves.append(RewriteEqual(word(n)))
+        elif kind == "stab":
+            moves.append(MarkovStabilize(draw(st.sampled_from([1, -1]))))
+            n += 1
+        else:
+            moves.append(MarkovDestabilize())
+            n -= 1
+    end = word(n) if draw(st.booleans()) else None
+    return MoveScript(start=start, moves=tuple(moves), declared_end=end)
+
+
+@given(_move_scripts())
+@settings(max_examples=200, deadline=None)
+def test_script_round_trip_property(script):
+    assert parse_script(serialize_script(script)) == script
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (HEAD + "stab q\n", 3),
+    (HEAD + "stab\n", 3),
+    (HEAD + "ins\n", 3),
+    (HEAD + "ins x y\n", 3),
+    (HEAD + "cyc\n", 3),
+    (HEAD + "cyc 1 2\n", 3),
+    (HEAD + "destab extra\n", 3),
+    (HEAD + "eq q\n", 3),
+    (HEAD + "bogus 1\n", 3),
+    ("strands: x\nstart: xy\n", 1),
+    ("strands: 3\nstrands: 3\nstart: xy\n", 2),
+    (HEAD + "start: xy\n", 3),
+    ("strands: 3\n# no start\n", 3),
+    ("cyc 1\n" + HEAD, 1),
+])
+def test_malformed_script_lines_name_their_line(text, lineno):
+    with pytest.raises(ScriptError, match=rf"\bline {lineno}\b"):
+        parse_script(text)
 
 
 def test_script_comments_and_blanks_ignored():

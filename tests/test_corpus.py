@@ -85,6 +85,16 @@ def test_failing_script_is_named(tmp_path):
     assert "start" in result.detail or "step" in result.detail
 
 
+def test_bad_records_become_fail_rows():
+    good = get_knot("m(8_20)")
+    missing = KnotRecord("missing", good.braid, good.slice_genus, False, "no_such_script.txt")
+    wrong_strands = KnotRecord("wrong_strands", parse_braid("x^3", 2), 1, False, good.script_ref)
+    report = verify_corpus(records=[good, missing, wrong_strands])
+    status = {r.name: r.ok for r in report.results}
+    assert status == {"m(8_20)": True, "missing": False, "wrong_strands": False}
+    assert report.summary() == "1/3 scripts replayed"
+
+
 EXPECTED = {
     # name: (end text, end strands, genus, slk_start, slk_end)
     "12n_242": ("xyxyxyxyxyxyxyxyxyxyxy", 3, 5, 9, 19),

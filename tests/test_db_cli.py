@@ -95,3 +95,21 @@ def test_reproduce_reports(capsys):
         assert rc == 0, (report, out)
         assert "FAIL" not in out
         assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["slk", "xyxyx", "--strands", "3"], "knot"),
+    (["bounds", "--slk", "4"], "odd"),
+    (["covers", "--knot", "m9_46", "--r", "2"], "m9_46"),
+    (["run-script", "{missing}"], "No such file"),
+    (["run-script", "{malformed}"], "line 3"),
+])
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("strands: 3\nstart: xy\nstab q\n")
+    paths = {"missing": tmp_path / "missing.txt", "malformed": malformed}
+    rc = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("hatlab: error: ") and err.count("\n") == 1
+    assert message in err
