@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from math import gcd
 from typing import Optional
@@ -120,15 +121,6 @@ def semigroup_lb(p: int, q: int) -> int:
     return min(2 * p, q)
 
 
-def semigroup_elements(p: int, q: int, up_to: int) -> list[int]:
-    """Brute-force enumeration of <p, q> up to a bound (the oracle route)."""
-    out = set()
-    for i in range(0, up_to // p + 1):
-        for j in range(0, (up_to - i * p) // q + 1):
-            out.add(i * p + j * q)
-    return sorted(out)
-
-
 def milnor_genus(p: int, q: int) -> int:
     """Genus (p-1)(q-1)/2 of the Milnor fiber of the T(p,q) singularity."""
     if gcd(p, q) != 1:
@@ -169,15 +161,17 @@ class Witness:
 class WitnessDB:
     t2_witnesses: dict[int, Witness]            # k -> best recorded hat
     t2_lower_upgrades: dict[int, tuple[int, str]]  # k -> (bound, source)
-    cusp_curves: list[dict]                     # recorded singular curves
     hirzebruch_hats: list[dict]                 # stored facts, never derived
     cover_targets: list[dict]                   # K3 presentations vs targets
+    filling_signatures: dict[str, dict]         # knot -> recorded filling
     curve_exclusions: list[dict]                # classes excluded by recorded
                                                 # filling obstructions
     open_flags: list[str]
 
 
+@cache
 def load_witnesses() -> WitnessDB:
+    """Parse and check ``data/witnesses.json`` once; callers share the result."""
     payload = json.loads(
         resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
     )
@@ -198,15 +192,20 @@ def load_witnesses() -> WitnessDB:
     return WitnessDB(
         t2_witnesses=t2,
         t2_lower_upgrades=ups,
-        cusp_curves=payload.get("cusp_curves", []),
         hirzebruch_hats=payload.get("hirzebruch_hats", []),
-        cover_targets=payload.get("cover_targets", []),
+        cover_targets=[
+            {**row, "degree": tuple(d) if isinstance(d := row["degree"], list) else d}
+            for row in payload.get("cover_targets", [])
+        ],
+        filling_signatures={
+            row["knot"]: row for row in payload.get("filling_signatures", [])
+        },
         curve_exclusions=payload.get("curve_class_exclusions", []),
         open_flags=payload.get("open_flags", []),
     )
 
 
-def t2_lower_bound(k: int, db: Optional[WitnessDB] = None) -> int:
+def t2_lower_bound(k: int) -> int:
     """Lower bound for the hat genus of the maximal-slk T(2,2k+1).
 
     Writes k = d(d-1)/2 + l with 1 <= l <= d and bounds by d - l; recorded
@@ -219,9 +218,9 @@ def t2_lower_bound(k: int, db: Optional[WitnessDB] = None) -> int:
         d += 1
     l = k - d * (d - 1) // 2
     bound = d - l
-    db = db if db is not None else load_witnesses()
-    if k in db.t2_lower_upgrades:
-        bound = max(bound, db.t2_lower_upgrades[k][0])
+    upgrade = load_witnesses().t2_lower_upgrades.get(k)
+    if upgrade is not None:
+        bound = max(bound, upgrade[0])
     return bound
 
 
@@ -246,7 +245,7 @@ def t2_table(k_max: int) -> list[T2Row]:
     db = load_witnesses()
     rows = []
     for k in range(1, k_max + 1):
-        lb = t2_lower_bound(k, db)
+        lb = t2_lower_bound(k)
         w = db.t2_witnesses.get(k)
         if w is not None and w.genus < lb:
             raise BoundsError(f"k={k}: witness genus {w.genus} below bound {lb}")

@@ -87,6 +87,8 @@ def _cmd_t2_table(args) -> int:
 
 def _cmd_search(args) -> int:
     rep = curves_mod.search(args.p, args.blowups, args.amin, args.amax, args.genus)
+    rows = [(s, s.gromov.line_with_cusp and s.gromov.line_two_points,
+             s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions]
     if args.json:
         payload = {
             "params": {"p": rep.p, "blowups": rep.blowups, "genus": rep.genus,
@@ -96,21 +98,15 @@ def _cmd_search(args) -> int:
                     "a": s.cls.a,
                     "b": list(s.cls.b),
                     "self_int": s.cls.self_intersection,
-                    "passes": {
-                        "lines": s.gromov.line_with_cusp and s.gromov.line_two_points,
-                        "conics": s.gromov.conic_with_cusp and s.gromov.conic_five_points,
-                        "ohta_ono": s.ohta_ono,
-                    },
+                    "passes": {"lines": lines, "conics": conics, "ohta_ono": s.ohta_ono},
                 }
-                for s in rep.solutions
+                for s, lines, conics in rows
             ],
         }
         print(json.dumps(payload, indent=2))
         return 0
     print("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives")
-    for s in rep.solutions:
-        lines = s.gromov.line_with_cusp and s.gromov.line_two_points
-        conics = s.gromov.conic_with_cusp and s.gromov.conic_five_points
+    for s, lines, conics in rows:
         print(f"{s.cls.a}\t{','.join(map(str, s.cls.b)) or '-'}\t"
               f"{s.cls.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
     print(f"{len(rep.solutions)} solutions, {len(rep.surviving)} surviving")
@@ -124,12 +120,12 @@ def _cmd_covers(args) -> int:
 
 
 def _reproduce_t2() -> list[tuple[str, bool]]:
-    expected = [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
-    rows = bounds_mod.t2_table(11)
-    out = []
-    for r, want in zip(rows, expected):
-        out.append((f"t2 k={r.k}: value {r.value} expected {want}", r.value == want))
-    return out
+    rows = bounds_mod.t2_table(max(bounds_mod.load_witnesses().t2_witnesses))
+    return [
+        (f"t2 k={r.k}: value {r.value} expected {r.witness_genus}",
+         r.witness_genus is not None and r.value == r.witness_genus)
+        for r in rows
+    ]
 
 
 def _reproduce_k3() -> list[tuple[str, bool]]:
@@ -172,20 +168,18 @@ def _reproduce_scripts() -> list[tuple[str, bool]]:
 
 
 def _reproduce_covers() -> list[tuple[str, bool]]:
+    db = bounds_mod.load_witnesses()
     out = []
-    for r, surface, degree in covers_mod.K3_PRESENTATIONS:
-        ok = covers_mod.cy_cover_test(r, surface, degree)
-        out.append((f"{r}-fold cover of {surface} over degree {degree} is K3", ok))
-    books = covers_mod.double_cover_books(5, -8)
-    out.append((
-        "12n_242 books: filling 10 / cap 12 / E8+2H",
-        (books.b2_filling, books.b2_cap, books.form) == (10, 12, "E8+2H"),
-    ))
-    books = covers_mod.double_cover_books(6, -8)
-    out.append((
-        "T(3,7) books: filling 12 / cap 10 / E8+H",
-        (books.b2_filling, books.b2_cap, books.form) == (12, 10, "E8+H"),
-    ))
+    for t in db.cover_targets:
+        ok = covers_mod.cy_cover_test(t["r"], t["surface"], t["degree"])
+        out.append((f"{t['r']}-fold cover of {t['surface']} over degree {t['degree']} is K3", ok))
+    for row in db.filling_signatures.values():
+        books = covers_mod.double_cover_books(row["genus"], row["signature"])
+        out.append((
+            f"{row['knot']} books: filling {books.b2_filling} / cap {books.b2_cap} / "
+            f"{row['cap_form']}",
+            books.form == row["cap_form"],
+        ))
     return out
 
 

@@ -39,6 +39,7 @@ ScriptError with its line number.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -145,13 +146,16 @@ class CobordismLedger:
     ``(slk_end - slk_start)/2`` in the absence of negative stabilizations.
     """
 
-    bands: int = 0
     crossing_changes: int = 0
     insertions: int = 0
     negative_stabilizations: int = 0
     slk_start: Optional[int] = None
     slk_end: Optional[int] = None
     component_trace: list[int] = field(default_factory=list)
+
+    @property
+    def bands(self) -> int:
+        return self.insertions + 2 * self.crossing_changes
 
     @property
     def euler(self) -> int:
@@ -181,41 +185,10 @@ class CobordismLedger:
 
 def apply_move(w: BraidWord, move: Move) -> BraidWord:
     """Apply a single move to a word; raises ScriptError on any violation."""
-    if isinstance(move, InsertPositive):
-        if not (0 <= move.position <= len(w.letters)):
-            raise ScriptError(f"insert position {move.position} out of range")
-        if not (1 <= move.index < w.strands):
-            raise ScriptError(f"insert index {move.index} out of range")
-        letters = w.letters[:move.position] + (move.index,) + w.letters[move.position:]
-        return BraidWord(w.strands, letters)
-    if isinstance(move, CrossingChange):
-        if not (0 <= move.position < len(w.letters)):
-            raise ScriptError(f"crossing-change position {move.position} out of range")
-        if w.letters[move.position] != -move.index:
-            raise ScriptError(
-                f"crossing change expects sigma_{move.index}^-1 at position "
-                f"{move.position}, found letter {w.letters[move.position]}"
-            )
-        letters = list(w.letters)
-        letters[move.position] = move.index
-        return BraidWord(w.strands, tuple(letters))
-    if isinstance(move, Conjugate):
-        return conjugate(w, move.word)
-    if isinstance(move, CyclicPermute):
-        return cyclic_permute(w, move.k)
-    if isinstance(move, RewriteEqual):
-        if move.target.strands != w.strands:
-            raise ScriptError("rewrite target has wrong strand count")
-        if not equal(w, move.target):
-            raise ScriptError(
-                f"uncertifiable rewrite: {braid_text(w)} != {braid_text(move.target)}"
-            )
-        return move.target
-    if isinstance(move, MarkovStabilize):
-        return markov_stabilize(w, move.sign)
-    if isinstance(move, MarkovDestabilize):
-        return markov_destabilize(w)
-    raise ScriptError(f"unknown move {move!r}")
+    action = _ACTIONS.get(type(move))
+    if action is None:
+        raise ScriptError(f"unknown move {move!r}")
+    return action(w, move)
 
 
 def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
@@ -226,7 +199,9 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
     ends are knots.
     """
     w = script.start
-    ledger = CobordismLedger()
+    kinds = Counter(map(type, script.moves))
+    ledger = CobordismLedger(kinds[CrossingChange], kinds[InsertPositive],
+                             script.moves.count(MarkovStabilize(-1)))
     if closure_components(w) == 1:
         ledger.slk_start = self_linking(w)
     ledger.component_trace.append(closure_components(w))
@@ -235,14 +210,6 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
             w = apply_move(w, move)
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({move!r}): {e}") from e
-        if isinstance(move, InsertPositive):
-            ledger.bands += 1
-            ledger.insertions += 1
-        elif isinstance(move, CrossingChange):
-            ledger.bands += 2
-            ledger.crossing_changes += 1
-        elif isinstance(move, MarkovStabilize) and move.sign == -1:
-            ledger.negative_stabilizations += 1
         ledger.component_trace.append(closure_components(w))
     if closure_components(w) == 1:
         ledger.slk_end = self_linking(w)
@@ -262,11 +229,12 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 
 
 # ---------------------------------------------------------------------------
-# Script file format
+# The move table and the script file format
 # ---------------------------------------------------------------------------
 # Each operand kind has one reader (token, current strand count -> value) and
-# one writer (value -> token).  They call parse_braid/braid_text through the
-# module names at call time, so a wrapper bound to those names sees every call.
+# one writer (value -> token); each move has one action (word, move -> word).
+# They call braid functions through the module names at call time, so a
+# wrapper bound to those names sees every call.
 
 def _read_int(token: str, strands: int) -> int:
     if not re.fullmatch(r"-?[0-9]+", token):
@@ -296,17 +264,51 @@ _GENERATOR = (_read_generator, lambda i: braid_text(BraidWord(i + 1, (i,))))
 _WORD = (_read_word, lambda w: braid_text(w) or "1")
 _SIGN = (_read_sign, lambda sign: "+" if sign == 1 else "-")
 
-# token -> (move class, operand kinds in dataclass field order, strand change)
+
+def _insert(w: BraidWord, move: InsertPositive) -> BraidWord:
+    if not (0 <= move.position <= len(w.letters)):
+        raise ScriptError(f"insert position {move.position} out of range")
+    if not (1 <= move.index < w.strands):
+        raise ScriptError(f"insert index {move.index} out of range")
+    letters = w.letters[:move.position] + (move.index,) + w.letters[move.position:]
+    return BraidWord(w.strands, letters)
+
+
+def _crossing_change(w: BraidWord, move: CrossingChange) -> BraidWord:
+    if not (0 <= move.position < len(w.letters)):
+        raise ScriptError(f"crossing-change position {move.position} out of range")
+    if w.letters[move.position] != -move.index:
+        raise ScriptError(
+            f"crossing change expects sigma_{move.index}^-1 at position "
+            f"{move.position}, found letter {w.letters[move.position]}"
+        )
+    letters = list(w.letters)
+    letters[move.position] = move.index
+    return BraidWord(w.strands, tuple(letters))
+
+
+def _rewrite(w: BraidWord, move: RewriteEqual) -> BraidWord:
+    if move.target.strands != w.strands:
+        raise ScriptError("rewrite target has wrong strand count")
+    if not equal(w, move.target):
+        raise ScriptError(
+            f"uncertifiable rewrite: {braid_text(w)} != {braid_text(move.target)}"
+        )
+    return move.target
+
+
+# token -> (move class, operand kinds in field order, strand change, action)
 _MOVES = {
-    "ins": (InsertPositive, (_INT, _GENERATOR), 0),
-    "cc": (CrossingChange, (_INT, _GENERATOR), 0),
-    "conj": (Conjugate, (_WORD,), 0),
-    "cyc": (CyclicPermute, (_INT,), 0),
-    "eq": (RewriteEqual, (_WORD,), 0),
-    "stab": (MarkovStabilize, (_SIGN,), 1),
-    "destab": (MarkovDestabilize, (), -1),
+    "ins": (InsertPositive, (_INT, _GENERATOR), 0, _insert),
+    "cc": (CrossingChange, (_INT, _GENERATOR), 0, _crossing_change),
+    "conj": (Conjugate, (_WORD,), 0, lambda w, move: conjugate(w, move.word)),
+    "cyc": (CyclicPermute, (_INT,), 0, lambda w, move: cyclic_permute(w, move.k)),
+    "eq": (RewriteEqual, (_WORD,), 0, _rewrite),
+    "stab": (MarkovStabilize, (_SIGN,), 1, lambda w, move: markov_stabilize(w, move.sign)),
+    "destab": (MarkovDestabilize, (), -1, lambda w, move: markov_destabilize(w)),
 }
-_TOKENS = {cls: (token, kinds) for token, (cls, kinds, _) in _MOVES.items()}
+_TOKENS = {cls: (token, kinds) for token, (cls, kinds, _, _) in _MOVES.items()}
+_ACTIONS = {cls: action for cls, _, _, action in _MOVES.values()}
 # Headers in the order they must appear; each appears at most once.
 _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 
@@ -341,7 +343,7 @@ def parse_script(text: str, name: str = "") -> MoveScript:
             token, *operands = line.split()
             if token not in _MOVES:
                 raise ScriptError(f"unknown move {token!r}")
-            cls, kinds, strand_change = _MOVES[token]
+            cls, kinds, strand_change, _ = _MOVES[token]
             if len(operands) != len(kinds):
                 raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
             moves.append(cls(*(read(t, strands) for t, (read, _) in zip(operands, kinds))))

@@ -4,11 +4,12 @@ branched covers used in the K3 cap constructions.
 The ramification formula for an r-fold cyclic cover branched over a curve B
 in a surface S reads chi = r*chi(S) - (r-1)*chi(B).  A cover of the plane
 or the quadric is a K3 surface exactly when its canonical class vanishes
-and chi = 24; four presentations qualify and are listed in
-``K3_PRESENTATIONS``.
+and chi = 24; four presentations qualify and are recorded under
+``cover_targets`` in ``data/witnesses.json``.
 
-Signatures of fillings are inputs here (recorded facts), never computed
-from Seifert matrices.
+Signatures of fillings are inputs here (recorded facts under
+``filling_signatures`` in ``data/witnesses.json``), never computed from
+Seifert matrices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .bounds import plane_curve_genus
+from .bounds import load_witnesses, plane_curve_genus
 
 
 class CoverError(ValueError):
@@ -76,14 +77,6 @@ def cy_cover_test(r: int, surface: str, degree: Degree) -> bool:
     return canonical_vanishes and chi == 24
 
 
-K3_PRESENTATIONS: tuple[tuple[int, str, Degree], ...] = (
-    (2, "CP2", 6),
-    (4, "CP2", 4),
-    (2, "P1xP1", (4, 4)),
-    (3, "P1xP1", (3, 3)),
-)
-
-
 _FORM_TABLE = {
     (12, -8): "E8+2H",
     (10, -8): "E8+H",
@@ -132,22 +125,15 @@ def double_cover_books(g_s: int, sigma_filling: int) -> DoubleCoverBooks:
     return DoubleCoverBooks(b2_filling, b2_cap, sigma_cap, form_label(b2_cap, sigma_cap))
 
 
-FILLING_SIGNATURES = {
-    # recorded input facts: signatures of the branched double covers of the
-    # 4-ball over the named quasipositive surfaces
-    "12n_242": -8,      # genus-5 surface; Brieskorn-type filling
-    "T(3,7)": -8,       # Milnor fiber of the (3,7) singularity
-}
-
-
 def cover_line(name: str, g_s: int, r: int) -> str:
     """Human bookkeeping line for the r-fold cover of a knot's double branch."""
     if r == 2:
-        sigma = FILLING_SIGNATURES.get(name)
-        if sigma is None:
+        filling = load_witnesses().filling_signatures.get(name)
+        if filling is None:
             b2 = 2 * g_s
             return (f"{name}\tr=2\tfilling b2={b2}\tcap b2={K3_B2 - b2}\t"
                     "sigma undetermined")
+        sigma = filling["signature"]
         books = double_cover_books(g_s, sigma)
         return (f"{name}\tr=2\tfilling b2={books.b2_filling} sigma={sigma}\t"
                 f"cap b2={books.b2_cap} sigma={books.sigma_cap}\tform {books.form}")

@@ -50,11 +50,7 @@ class CurveClass:
 
 def adjunction_rational(p: int, c: CurveClass) -> bool:
     """Adjunction for a rational curve with T(p,p+1) and T(2,3) cusps."""
-    if p < 2:
-        raise SearchError("need p >= 2")
-    lhs = c.a * c.a - sum(x * x for x in c.b)
-    rhs = p * p - p + (3 * c.a - sum(c.b))
-    return lhs == rhs
+    return adjunction_at_genus(p, c, 0)
 
 
 def adjunction_at_genus(p: int, c: CurveClass, genus: int) -> bool:
@@ -203,25 +199,6 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
             )
     found.sort(key=lambda s: (s.cls.a, tuple(-x for x in s.cls.b)))
     return SearchReport(p, blowups, genus, a_min, a_max, tuple(found))
-
-
-def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
-                          genus: int = 0) -> list[CurveClass]:
-    """Naive nested-loop oracle over all unsorted tuples; for cross-checks."""
-    out = set()
-
-    def rec(a, prefix, n):
-        if n == 0:
-            cls = CurveClass(a, tuple(prefix))
-            if adjunction_at_genus(p, cls, genus):
-                out.add(cls)
-            return
-        for v in range(0, a + 1):
-            rec(a, prefix + [v], n - 1)
-
-    for a in range(a_min, a_max + 1):
-        rec(a, [], blowups)
-    return sorted(out, key=lambda c: (c.a, tuple(-x for x in c.b)))
 
 
 @dataclass(frozen=True)

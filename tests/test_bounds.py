@@ -1,5 +1,8 @@
 """Hat genus/degree calculators, lower bounds, and the T(2,2k+1) table."""
 
+import json
+import re
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -15,7 +18,6 @@ from hatlab.bounds import (
     negbraid_hat_genus,
     negative_torus_max_slk,
     plane_curve_genus,
-    semigroup_elements,
     semigroup_lb,
     singular_genus_budget,
     slice_genus_qp,
@@ -26,6 +28,7 @@ from hatlab.bounds import (
     twist_knot_hat_genus,
     twist_knot_max_slk,
 )
+from oracles import semigroup_elements
 
 
 def test_slice_genus_qp_examples():
@@ -161,6 +164,30 @@ def test_singular_genus_budget():
     assert singular_genus_budget(5, [milnor_genus(2, 5), milnor_genus(3, 5)]) == 0
     with pytest.raises(BoundsError):
         singular_genus_budget(4, [10])
+
+
+def test_recorded_cusp_curves_fit_the_genus_budget():
+    payload = json.loads(
+        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
+    )
+    numeric = [c for c in payload["cusp_curves"] if isinstance(c["degree"], int)]
+    symbolic = [c for c in payload["cusp_curves"] if not isinstance(c["degree"], int)]
+    assert len(numeric) == 4
+    for c in numeric:
+        cusps = [re.fullmatch(r"T\((\d+),(\d+)\)", t).groups() for t in c["cusps"]]
+        genera = [milnor_genus(int(p), int(q)) for p, q in cusps]
+        assert singular_genus_budget(c["degree"], genera) == c["genus"], c["curve"]
+    # the two families, checked for small p < q against the formulas spelled out here
+    assert [(c["degree"], c["cusps"], c["genus"]) for c in symbolic] == [
+        ("p+1", ["T(p,p+1)"], 0),
+        ("q", ["T(p,q)"], "(q-p-1)(q-1)/2"),
+    ]
+    for p in range(2, 10):
+        assert singular_genus_budget(p + 1, [milnor_genus(p, p + 1)]) == 0
+        for q in range(p + 1, 20):
+            if gcd(p, q) == 1:
+                genus = (q - p - 1) * (q - 1) // 2
+                assert singular_genus_budget(q, [milnor_genus(p, q)]) == genus
 
 
 def test_t2_lower_bound_rule():

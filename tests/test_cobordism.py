@@ -83,6 +83,11 @@ def test_positions_out_of_range():
         apply_move(w, CrossingChange(5, 1))
 
 
+def test_apply_move_rejects_unknown_move():
+    with pytest.raises(ScriptError, match="unknown move"):
+        apply_move(parse_braid("x^3", 2), "ins 0 x")
+
+
 def test_rewrite_equal_certifies():
     w = parse_braid("xyx", 3)
     assert apply_move(w, RewriteEqual(parse_braid("yxy", 3))) == parse_braid("yxy", 3)

@@ -3,14 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hatlab.bounds import load_witnesses
 from hatlab.covers import (
     CoverError,
-    K3_PRESENTATIONS,
     bidegree_genus,
     branched_cover_euler,
     cy_cover_test,
     double_cover_books,
     form_label,
+)
+from hatlab.db import load_db
+
+# (r, surface, degree) in the order the cover-books report prints them
+K3_PRESENTATIONS = (
+    (2, "CP2", 6),
+    (4, "CP2", 4),
+    (2, "P1xP1", (4, 4)),
+    (3, "P1xP1", (3, 3)),
 )
 
 
@@ -57,6 +66,25 @@ def test_cy_cover_divisibility_error():
 def test_all_four_presentations_are_k3():
     for r, surface, degree in K3_PRESENTATIONS:
         assert cy_cover_test(r, surface, degree), (r, surface, degree)
+
+
+def test_recorded_cover_targets_in_report_order():
+    targets = load_witnesses().cover_targets
+    assert [(t["r"], t["surface"], t["degree"]) for t in targets] == list(K3_PRESENTATIONS)
+
+
+def test_recorded_filling_signatures():
+    rows = load_witnesses().filling_signatures
+    assert [(r["knot"], r["genus"], r["signature"], r["cap_form"]) for r in rows.values()] == [
+        ("12n_242", 5, -8, "E8+2H"),
+        ("T(3,7)", 6, -8, "E8+H"),
+    ]
+    assert all(r["source"] for r in rows.values())
+    # a row naming a database knot records that knot's slice genus
+    genera = {rec.name: rec.slice_genus for rec in load_db()}
+    assert genera["12n_242"] == 5
+    for knot, r in rows.items():
+        assert knot not in genera or r["genus"] == genera[knot], knot
 
 
 def test_books_pretzel():

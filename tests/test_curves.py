@@ -10,13 +10,13 @@ from hatlab.curves import (
     SearchError,
     adjunction_at_genus,
     adjunction_rational,
-    brute_force_solutions,
     class_genus,
     gromov_constraints,
     ohta_ono_filter,
     search,
     triangular_difference,
 )
+from oracles import brute_force_solutions
 
 
 def test_curve_class_canonical_form():

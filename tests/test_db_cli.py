@@ -1,9 +1,11 @@
 """The command-line surface: outputs, exit codes, JSON schema."""
 
+import dataclasses
 import json
 
 import pytest
 
+from hatlab import bounds as bounds_mod
 from hatlab.cli import main
 from hatlab.corpus import load_script
 from hatlab.cobordism import serialize_script
@@ -80,6 +82,17 @@ def test_search_json_schema(capsys):
     assert sol["passes"]["ohta_ono"] is False
 
 
+def test_search_tsv(capsys):
+    rc, out = run_cli(capsys, "search", "--p", "3", "--blowups", "1",
+                      "--amin", "0", "--amax", "20")
+    assert rc == 0
+    assert out.splitlines() == [
+        "a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives",
+        "6\t4\t20\tFalse\tTrue\tFalse\tFalse",
+        "1 solutions, 0 surviving",
+    ]
+
+
 def test_covers_command(capsys):
     rc, out = run_cli(capsys, "covers", "--knot", "12n_242", "--r", "2")
     assert rc == 0
@@ -95,6 +108,39 @@ def test_reproduce_reports(capsys):
         assert rc == 0, (report, out)
         assert "FAIL" not in out
         assert "PASS" in out
+
+
+def test_reproduce_t2_table_output(capsys):
+    rc, out = run_cli(capsys, "reproduce", "t2-table")
+    assert rc == 0
+    values = [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
+    assert out == "".join(
+        f"PASS\tt2 k={k}: value {v} expected {v}\n" for k, v in enumerate(values, 1)
+    )
+
+
+def test_reproduce_t2_table_fails_a_row_without_witness(capsys, monkeypatch):
+    db = bounds_mod.load_witnesses()
+    witnesses = {k: w for k, w in db.t2_witnesses.items() if k != 5}
+    monkeypatch.setattr(bounds_mod, "load_witnesses",
+                        lambda: dataclasses.replace(db, t2_witnesses=witnesses))
+    rc, out = run_cli(capsys, "reproduce", "t2-table")
+    assert rc == 1
+    assert out.splitlines()[4] == "FAIL\tt2 k=5: value None expected None"
+    assert out.count("FAIL") == 1
+
+
+def test_reproduce_cover_books_output(capsys):
+    rc, out = run_cli(capsys, "reproduce", "cover-books")
+    assert rc == 0
+    assert out.splitlines() == [
+        "PASS\t2-fold cover of CP2 over degree 6 is K3",
+        "PASS\t4-fold cover of CP2 over degree 4 is K3",
+        "PASS\t2-fold cover of P1xP1 over degree (4, 4) is K3",
+        "PASS\t3-fold cover of P1xP1 over degree (3, 3) is K3",
+        "PASS\t12n_242 books: filling 10 / cap 12 / E8+2H",
+        "PASS\tT(3,7) books: filling 12 / cap 10 / E8+H",
+    ]
 
 
 @pytest.mark.parametrize("argv, message", [
