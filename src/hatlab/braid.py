@@ -15,6 +15,17 @@ generator starting A_{j+1} also finishes A_j), and no A_j is the identity
 or Delta.  Two words represent the same element iff their normal forms
 coincide, which also makes the normal form a canonical dictionary key.
 
+The normal form is computed in one pass.  Each sigma_i^-1 is written as
+Delta^-1 * (Delta sigma_i^-1), a negative power of Delta times a
+permutation braid, and every Delta^-1 is moved to the front.  Moving it
+past a letter conjugates that letter by Delta, which mirrors its index
+i -> n - i, so a letter followed by an odd number of negative letters is
+mirrored and the power starts at minus the number of negative letters.
+The positive factors are then left-weighted pair by pair as they arrive.
+Normal forms are cached least recently used first, within a budget of
+``CACHE_LETTERS`` letters of the words they belong to; a longer word is
+never cached.
+
 Conventions: words act on strand positions top to bottom with letters read
 left to right, and the permutation of a word maps the starting position of
 a strand to its ending position.
@@ -22,7 +33,7 @@ a strand to its ending position.
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -377,18 +388,6 @@ class NormalForm:
     factors: tuple[tuple[int, ...], ...]
 
 
-def _descents(p: tuple[int, ...]) -> set[int]:
-    # Generator indices i with p[i-1] > p[i]: the simple starting letters.
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
-
-
-def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    q = [0] * len(p)
-    for a, b in enumerate(p):
-        q[b] = a
-    return tuple(q)
-
-
 def _mul_sigma_right(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     # A * sigma_i: swap the values i-1 and i in the image tuple.
     q = list(p)
@@ -404,31 +403,46 @@ def _strip_sigma_left(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _flip(p: tuple[int, ...]) -> tuple[int, ...]:
-    # Conjugation by Delta: w0 o p o w0.
-    n = len(p)
-    return tuple(n - 1 - p[n - 1 - q] for q in range(n))
-
-
 def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
-    """Left-weight the pair (a, b) by sliding starting letters of b into a."""
-    while True:
-        move = _descents(b) - _descents(_invert_perm(a))
-        if not move:
-            return a, b
-        i = min(move)
-        a = _mul_sigma_right(a, i)
-        b = _strip_sigma_left(b, i)
+    """Left-weight the pair (a, b) by sliding starting letters of b into a.
+
+    A letter sigma_i that starts b (b[i-1] > b[i]) but does not finish a
+    (a puts i-1 before i) slides across: a*sigma_i swaps the values i-1, i
+    of a and sigma_i^-1*b swaps the entries i-1, i of b.  A slide changes
+    the descents only at i-1, i and i+1, so the scan steps back one index
+    instead of starting over.  The result does not depend on the order of
+    the slides: its first factor is the meet of a*b with Delta.
+    """
+    a, b = list(a), list(b)
+    n = len(a)
+    pos = [0] * n  # pos[v] = position of the value v in a
+    for q, v in enumerate(a):
+        pos[v] = q
+    i = 1
+    while i < n:
+        if b[i - 1] > b[i] and pos[i - 1] < pos[i]:
+            x, y = pos[i - 1], pos[i]
+            a[x], a[y] = i, i - 1
+            pos[i - 1], pos[i] = y, x
+            b[i - 1], b[i] = b[i], b[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(a), tuple(b)
 
 
-@functools.lru_cache(maxsize=200_000)
 def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
     n = strands
     if n == 1:
         return NormalForm(1, 0, ())
     idp = tuple(range(n))
     w0 = tuple(range(n - 1, -1, -1))
-    power = 0
+    # Each sigma_i^-1 is Delta^-1 * C_i with C_i = Delta sigma_i^-1 simple.
+    # Moving a Delta^-1 left past a letter conjugates that letter by Delta,
+    # which mirrors its index i -> n - i, so a letter is mirrored once per
+    # negative letter to its right: only the parity of that count matters.
+    power = -sum(1 for g in letters if g < 0)
+    right = -power  # negative letters to the right of the current one
     fac: list[tuple[int, ...]] = []
 
     def append_simple(s: tuple[int, ...]):
@@ -447,16 +461,14 @@ def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
 
     for g in letters:
         i = abs(g)
+        if g < 0:
+            right -= 1
+        if right & 1:
+            i = n - i
         if g > 0:
-            s = _strip_sigma_left(idp, i)  # the transposition tau_i
-            append_simple(s)
+            append_simple(_strip_sigma_left(idp, i))  # the transposition tau_i
         else:
-            # sigma_i^-1 = Delta^-1 * C with C the right complement of sigma_i.
-            power -= 1
-            for j in range(len(fac)):
-                fac[j] = _flip(fac[j])
-            c = _mul_sigma_right(w0, i)
-            append_simple(c)
+            append_simple(_mul_sigma_right(w0, i))  # C_i
 
     # Final sweeps: drop identities, absorb mid-list Deltas to the front.
     changed = True
@@ -479,9 +491,46 @@ def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
     return NormalForm(n, power, tuple(fac))
 
 
+class _LetterBoundedLRU:
+    """Least-recently-used normal forms, bounded by the letters of their words.
+
+    A word longer than the whole budget is never kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.letters = 0
+        self._entries: OrderedDict[tuple[int, tuple[int, ...]], NormalForm] = OrderedDict()
+
+    def get(self, key: tuple[int, tuple[int, ...]]) -> NormalForm | None:
+        nf = self._entries.get(key)
+        if nf is not None:
+            self._entries.move_to_end(key)
+        return nf
+
+    def put(self, key: tuple[int, tuple[int, ...]], nf: NormalForm) -> None:
+        size = len(key[1])
+        if size > self.budget:
+            return
+        self._entries[key] = nf
+        self.letters += size
+        while self.letters > self.budget:
+            (_, old), _ = self._entries.popitem(last=False)
+            self.letters -= len(old)
+
+
+CACHE_LETTERS = 4096
+_cache = _LetterBoundedLRU(CACHE_LETTERS)
+
+
 def normal_form(w: BraidWord) -> NormalForm:
     """Canonical left Garside normal form of the word."""
-    return _normal_form(w.strands, w.letters)
+    key = (w.strands, w.letters)
+    nf = _cache.get(key)
+    if nf is None:
+        nf = _normal_form(w.strands, w.letters)
+        _cache.put(key, nf)
+    return nf
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -150,9 +150,17 @@ class SearchReport:
         return [s.cls for s in self.solutions if s.survives]
 
 
-def _descending_tuples(n: int, hi: int, budget: int) -> Iterator[tuple[int, ...]]:
+def _descending_tuples(n: int, hi: int, budget: int,
+                       visited: list[int], cap: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing n-tuples with entries in [0, hi] and
-    sum of b*(b-1) equal to the budget."""
+    sum of b*(b-1) equal to the budget.
+
+    Every call is one node of the enumeration and adds one to
+    ``visited[0]``; the node that takes the count past ``cap`` raises.
+    """
+    visited[0] += 1
+    if visited[0] > cap:
+        raise SearchError(f"enumeration exceeds cap: more than {cap} nodes visited")
     if n == 0:
         if budget == 0:
             yield ()
@@ -166,7 +174,7 @@ def _descending_tuples(n: int, hi: int, budget: int) -> Iterator[tuple[int, ...]
             continue
         if rest > (n - 1) * w:
             break  # smaller entries cannot make up the remainder
-        for tail in _descending_tuples(n - 1, first, rest):
+        for tail in _descending_tuples(n - 1, first, rest, visited, cap):
             yield (first,) + tail
 
 
@@ -177,21 +185,21 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
     The budget form of the constraint is ``sum b_i(b_i - 1) = a^2 - 3a -
     (p^2 - p) - 2*genus``, so the inner enumeration walks non-increasing
     tuples with exact pruning.  Output order is lexicographic on (a, b);
-    results are independent of enumeration order and chunking.
+    results are independent of enumeration order and chunking.  ``cap``
+    bounds the work done: the search raises :class:`SearchError` once the
+    enumeration has visited more than ``cap`` nodes over all degrees.
     """
     if p < 2:
         raise SearchError("need p >= 2")
     if blowups < 0 or genus < 0 or a_min < 0 or a_max < a_min:
         raise SearchError("bad search parameters")
-    est = (a_max - a_min + 1) * (a_max + 1) ** min(blowups, 3)
-    if est > cap:
-        raise SearchError(f"enumeration estimate {est} exceeds cap {cap}")
+    visited = [0]
     found: list[Annotated] = []
     for a in range(a_min, a_max + 1):
         budget = a * a - 3 * a - (p * p - p) - 2 * genus
         if budget < 0:
             continue
-        for b in _descending_tuples(blowups, a, budget):
+        for b in _descending_tuples(blowups, a, budget, visited, cap):
             cls = CurveClass(a, b)
             assert adjunction_at_genus(p, cls, genus)
             found.append(

@@ -1,5 +1,6 @@
 """Brute-force reference implementations that the tests compare against."""
 
+from hatlab.braid import BraidWord
 from hatlab.curves import CurveClass, adjunction_at_genus
 
 
@@ -29,3 +30,45 @@ def semigroup_elements(p: int, q: int, up_to: int) -> list[int]:
         for j in range(0, (up_to - i * p) // q + 1):
             out.add(i * p + j * q)
     return sorted(out)
+
+
+def _free_product(*parts: tuple[int, ...]) -> tuple[int, ...]:
+    # Concatenate reduced words of the free group, cancelling x x^-1 pairs.
+    out: list[int] = []
+    for part in parts:
+        for x in part:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def _free_inverse(u: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(u))
+
+
+def artin_images(w: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Reduced images of the free generators x_1..x_n under Artin's action.
+
+    Free-group words are tuples of signed indices (-j is x_j^-1).  The
+    letter sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i; its
+    inverse sends x_i to x_{i+1} and x_{i+1} to x_{i+1}^-1 x_i x_{i+1}.  The
+    action is faithful, so two words are equal in B_n iff their images
+    agree.  Image lengths can grow exponentially in the word length: use
+    this only on short words.
+    """
+    images = [(j,) for j in range(1, w.strands + 1)]
+    for g in w.letters:
+        i = abs(g)
+        a, b = images[i - 1], images[i]
+        if g > 0:
+            images[i - 1], images[i] = _free_product(a, b, _free_inverse(a)), a
+        else:
+            images[i - 1], images[i] = b, _free_product(_free_inverse(b), a, b)
+    return tuple(images)
+
+
+def artin_equal(w1: BraidWord, w2: BraidWord) -> bool:
+    """Braid equality decided by Artin's action on the free group."""
+    return artin_images(w1) == artin_images(w2)

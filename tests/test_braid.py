@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hatlab import braid
 from hatlab.braid import (
     BraidError,
     BraidWord,
@@ -28,6 +29,7 @@ from hatlab.braid import (
     self_linking,
     underlying_permutation,
 )
+from oracles import artin_equal
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,105 @@ def test_normal_form_is_canonical_key():
     w2 = parse_braid("yxy", 3)
     assert normal_form(w1) == normal_form(w2)
     assert hash(normal_form(w1)) == hash(normal_form(w2))
+
+
+def _mixed_word(rng, n, length):
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                              for _ in range(length)))
+
+
+def _mirror(w):
+    # sigma_i^e -> sigma_{n-i}^e: conjugation by Delta, letter by letter
+    return BraidWord(w.strands, tuple(w.strands - g if g > 0 else -w.strands - g
+                                      for g in w.letters))
+
+
+def _insert(w, pos, letters):
+    return BraidWord(w.strands, w.letters[:pos] + tuple(letters) + w.letters[pos:])
+
+
+def _same_invariant_spoilers(w, rng):
+    """Unequal words with the exponent sum and permutation of w.
+
+    Each inserts a nontrivial pure braid of exponent sum 0: the commutator
+    [sigma_i^2, sigma_{i+1}^2] or sigma_i^2 sigma_j^-2 with i != j.
+    """
+    n = w.strands
+    if n < 3:
+        return []
+    pos = rng.randint(0, len(w))
+    i = rng.randint(1, n - 2)
+    j = rng.choice([k for k in range(1, n) if k != i])
+    return [_insert(w, pos, (i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1)),
+            _insert(w, pos, (i, i, -j, -j))]
+
+
+def test_equal_agrees_with_artin_action():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        w = _mixed_word(rng, n, rng.randint(0, 28))
+        rewritten = w
+        for _ in range(rng.randint(1, 4)):
+            rewritten = _random_rewrite(rewritten, rng)
+        spoilt = _same_invariant_spoilers(w, rng)
+        for v in [rewritten, _mirror(w), _mixed_word(rng, n, len(w))] + spoilt:
+            assert len(v) <= 40
+            same = artin_equal(w, v)
+            assert equal(w, v) == same, (w, v)
+            outcomes[same] += 1
+        for v in spoilt:
+            assert exponent_sum(v) == exponent_sum(w)
+            assert underlying_permutation(v) == underlying_permutation(w)
+            assert not artin_equal(w, v)
+    assert min(outcomes.values()) > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_equal_agrees_with_artin_on_generated_words(n, data):
+    gens = [i for i in range(1, n)] + [-i for i in range(1, n)]
+    words = st.lists(st.sampled_from(gens), max_size=16).map(tuple)
+    w = BraidWord(n, data.draw(words))
+    u = BraidWord(n, data.draw(words))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    pairs = [(w, u), (w, _insert(w, rng.randint(0, len(w)), u.letters + inverse(u).letters)),
+             (half_twist(n) * w, _mirror(w) * half_twist(n))]
+    pairs += [(w, v) for v in _same_invariant_spoilers(w, rng)]
+    for a, b in pairs:
+        assert equal(a, b) == artin_equal(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_delta_conjugation_mirrors_indices(n, parity):
+    rng = random.Random(10 * n + parity)
+    delta = half_twist(n)
+    for length in (20, 41, 60):
+        w = _mixed_word(rng, n, length)
+        if sum(g < 0 for g in w.letters) % 2 != parity:
+            w = w * BraidWord(n, (-rng.randint(1, n - 1),))
+        assert equal(delta * w, _mirror(w) * delta)
+        assert not equal(delta * w, w * delta)  # the mirror is not w itself
+
+
+def test_normal_form_cache_is_bounded_by_letters():
+    cache, budget = braid._cache, braid.CACHE_LETTERS
+    rng = random.Random(11)
+    words = [_mixed_word(rng, 5, 300) for _ in range(20)]
+    assert sum(map(len, words)) > budget
+    first = []
+    for w in words:
+        first.append(normal_form(w))
+        assert cache.letters <= budget
+        assert normal_form(w) is first[-1]  # a repeated call is a hit
+    assert normal_form(words[0]) is not first[0]  # the oldest was evicted
+    long = BraidWord(3, (1, -2) * (budget // 2 + 1))
+    kept = cache.letters
+    nf = normal_form(long)
+    assert cache.letters == kept > 0
+    assert normal_form(long) == nf and normal_form(long) is not nf
 
 
 # ---------------------------------------------------------------------------

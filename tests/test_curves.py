@@ -143,6 +143,22 @@ def test_search_cap():
         search(3, 6, 0, 500, genus=0, cap=1000)
 
 
+# Each search visits exactly `nodes` enumeration nodes: the cap admits it at
+# that count and refuses it one below.  An estimate of the range used to
+# refuse all four at the default cap.
+@pytest.mark.parametrize("args, nodes, solutions", [
+    ((3, 1, 0, 4000), 3_997, 1),
+    ((5, 2, 0, 300), 13_458, 195),
+    ((6, 3, 0, 60), 4_955, 380),
+    ((7, 4, 0, 56), 26_359, 3_000),
+])
+def test_search_cap_counts_nodes_visited(args, nodes, solutions):
+    assert len(search(*args).solutions) == solutions
+    assert len(search(*args, cap=nodes).solutions) == solutions
+    with pytest.raises(SearchError, match="exceeds cap"):
+        search(*args, cap=nodes - 1)
+
+
 def test_triangular_difference_examples():
     assert triangular_difference(4).pairs == ((10, 6),)
     assert triangular_difference(8).pairs == ((36, 28),)
