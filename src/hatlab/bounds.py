@@ -253,6 +253,9 @@ def t2_table(k_max: int) -> list[T2Row]:
     return rows
 
 
+REPORT_DEGREES = 6
+
+
 @dataclass(frozen=True)
 class HatBoundReport:
     slk: int
@@ -260,11 +263,9 @@ class HatBoundReport:
     degree_lb: int
     genus_lb: int
     genus_by_degree: dict[int, int] = field(default_factory=dict)
-    witnesses: list[tuple[int, int, str]] = field(default_factory=list)
 
 
-def bounds_report(slk: int, slice_genus: Optional[int] = None,
-                  degrees: int = 6) -> HatBoundReport:
+def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport:
     """Per-knot hat bounds from slk (and slice genus when quasipositive)."""
     if slk % 2 == 0:
         raise BoundsError("self-linking numbers of knots are odd")
@@ -277,7 +278,7 @@ def bounds_report(slk: int, slice_genus: Optional[int] = None,
         genus_lb = g_lb
     else:
         genus_lb = max(0, negbraid_hat_genus(slk)) if slk <= -1 else 0
-    table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + degrees)}
+    table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
     for d, g in table.items():
         if slk_from_hat(d, g) != slk:
             raise BoundsError("internal error: degree/genus relation broken")

@@ -21,7 +21,9 @@ permutation braid, and every Delta^-1 is moved to the front.  Moving it
 past a letter conjugates that letter by Delta, which mirrors its index
 i -> n - i, so a letter followed by an odd number of negative letters is
 mirrored and the power starts at minus the number of negative letters.
-The positive factors are then left-weighted pair by pair as they arrive.
+The positive factors are then left-weighted pair by pair, right to left, as
+they arrive, which leaves Delta only at the front and identities only at the
+end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
 Normal forms are cached least recently used first, within a budget of
 ``CACHE_LETTERS`` letters of the words they belong to; a longer word is
 never cached.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class BraidError(ValueError):
@@ -316,60 +317,6 @@ def full_twist(n: int) -> BraidWord:
     return BraidWord(n, tuple(range(1, n)) * n)
 
 
-def delta_square_script(n: int, i: int) -> list[tuple[int, int]]:
-    """Square insertions growing sigma_i^2 into a word equal to the full twist.
-
-    Returns a list of (position, index) pairs; each pair inserts the square
-    of sigma_index at the given position of the current word.  Applied in
-    order to the two-letter word sigma_i^2 via
-    :func:`apply_square_insertions`, the final word equals ``full_twist(n)``.
-
-    The construction follows the recursion
-    ``Delta_{k+1}^2 = Delta_k^2 * (s_k ... s_2 s_1^2 s_2 ... s_k)``:
-    the starting square is nested out to the bracketed factor it sits in,
-    the earlier factors are built up in front, and the later ones appended.
-    """
-    if n < 2:
-        raise BraidError("full twist scripts need n >= 2")
-    if not (1 <= i <= n - 1):
-        raise BraidError(f"generator index {i} out of range for B_{n}")
-    script: list[tuple[int, int]] = []
-    length = 2
-
-    # Nest sigma_i^2 out to F_i = s_i ... s_2 s_1^2 s_2 ... s_i.
-    for j in range(i - 1, 0, -1):
-        script.append((i - j, j))
-        length += 2
-
-    # Build s_1^2, F_2, ..., F_{i-1} in front, left to right.
-    off = 0
-    for blk in range(1, i):
-        if blk == 1:
-            script.append((0, 1))
-        else:
-            for j in range(blk, 0, -1):
-                script.append((off + (blk - j), j))
-        off += 2 * blk
-        length += 2 * blk
-
-    # Append F_{i+1}, ..., F_{n-1}.
-    for blk in range(i + 1, n):
-        base = length
-        for j in range(blk, 0, -1):
-            script.append((base + (blk - j), j))
-        length += 2 * blk
-    return script
-
-
-def apply_square_insertions(w: BraidWord, script: Sequence[tuple[int, int]]) -> BraidWord:
-    letters = list(w.letters)
-    for pos, j in script:
-        if not (0 <= pos <= len(letters)):
-            raise BraidError(f"insertion position {pos} out of range")
-        letters[pos:pos] = [j, j]
-    return BraidWord(w.strands, tuple(letters))
-
-
 # ---------------------------------------------------------------------------
 # Garside normal form
 # ---------------------------------------------------------------------------
@@ -433,8 +380,6 @@ def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
 
 def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
     n = strands
-    if n == 1:
-        return NormalForm(1, 0, ())
     idp = tuple(range(n))
     w0 = tuple(range(n - 1, -1, -1))
     # Each sigma_i^-1 is Delta^-1 * C_i with C_i = Delta sigma_i^-1 simple.
@@ -446,10 +391,9 @@ def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
     fac: list[tuple[int, ...]] = []
 
     def append_simple(s: tuple[int, ...]):
+        # An identity (C_1 when n = 2) only ever comes last; it is popped here or at the end.
         while fac and fac[-1] == idp:
             fac.pop()
-        if s == idp:
-            return
         fac.append(s)
         j = len(fac) - 2
         while j >= 0:
@@ -470,19 +414,6 @@ def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
         else:
             append_simple(_mul_sigma_right(w0, i))  # C_i
 
-    # Final sweeps: drop identities, absorb mid-list Deltas to the front.
-    changed = True
-    while changed:
-        changed = False
-        kept = [a for a in fac if a != idp]
-        if len(kept) != len(fac):
-            fac = kept
-            changed = True
-        for j in range(len(fac) - 1):
-            a2, b2 = _fix_pair(fac[j], fac[j + 1])
-            if a2 != fac[j]:
-                fac[j], fac[j + 1] = a2, b2
-                changed = True
     while fac and fac[0] == w0:
         power += 1
         fac.pop(0)

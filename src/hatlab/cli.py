@@ -37,7 +37,7 @@ def _cmd_eq(args) -> int:
 
 def _cmd_run_script(args) -> int:
     with open(args.file) as fh:
-        script = parse_script(fh.read(), name=args.file)
+        script = parse_script(fh.read())
     end, ledger = run_script(script)
     print(f"end: {braid_text(end)} (B_{end.strands})")
     print(f"bands: {ledger.bands}\teuler: {ledger.euler}")

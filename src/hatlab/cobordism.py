@@ -50,7 +50,6 @@ from .braid import (
     closure_components,
     conjugate,
     cyclic_permute,
-    delta_square_script,
     equal,
     free_reduce,
     full_twist,
@@ -133,7 +132,6 @@ class MoveScript:
     start: BraidWord
     moves: tuple[Move, ...] = ()
     declared_end: Optional[BraidWord] = None
-    name: str = ""
 
 
 @dataclass
@@ -313,7 +311,7 @@ _ACTIONS = {cls: action for cls, _, _, action in _MOVES.values()}
 _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 
 
-def parse_script(text: str, name: str = "") -> MoveScript:
+def parse_script(text: str) -> MoveScript:
     """Read a script file; a malformed line raises ScriptError with its line number."""
     headers: dict = {}
     moves: list[Move] = []
@@ -352,7 +350,7 @@ def parse_script(text: str, name: str = "") -> MoveScript:
             raise ScriptError(f"line {lineno}: {e}") from e
     if "start" not in headers:
         raise ScriptError(f"line {len(lines) + 1}: script needs 'strands:' and 'start:' headers")
-    return MoveScript(headers["start"], tuple(moves), headers.get("end"), name)
+    return MoveScript(headers["start"], tuple(moves), headers.get("end"))
 
 
 def serialize_script(script: MoveScript) -> str:
@@ -434,9 +432,9 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     The output rewrites ``w`` (after a conjugation aligning its permutation
     with the cycle of ``beta0 = s1 s2 ... s_{n-1}``) into ``beta0`` times an
     explicit product of conjugated squares, cancels the negative squares by
-    inserting their positive mates, grows every positive square into a full
-    twist, and ends at a word equal to ``beta0 * Delta^{2m}``, whose closure
-    is the torus knot T(n, mn+1).
+    inserting their positive mates, grows every positive square into the
+    literal full twist ``(s1 ... s_{n-1})^n`` letter by letter, and ends at
+    ``beta0 * Delta^{2m}``, whose closure is the torus knot T(n, mn+1).
     """
     if closure_components(w) != 1:
         raise BraidError("torus scripts need a knot closure")
@@ -449,38 +447,32 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         moves.append(Conjugate(c))
         cur = conjugate(cur, c)
 
-    gamma = free_reduce(BraidWord(n, tuple(inverse(beta0).letters) + cur.letters))
-    factors = comb_pure(gamma)
+    factors = comb_pure(BraidWord(n, inverse(beta0).letters + cur.letters))
 
-    flat = list(beta0.letters)
-    spans: list[tuple[int, tuple[int, ...]]] = []  # (offset, factor letters)
-    for f in factors:
-        spans.append((len(flat), f))
-        flat.extend(f)
-    stage1 = BraidWord(n, tuple(flat))
+    stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
     if not equal(cur, stage1):
         raise BraidError("internal error: factored form not equal to input")
     moves.append(RewriteEqual(stage1))
 
     # Work right to left so earlier offsets survive the insertions.
+    twist = full_twist(n).letters
     positive = 0
-    for off, f in reversed(spans):
-        k = (len(f) - 2) // 2  # conjugator length
+    off = len(stage1)
+    for f in reversed(factors):
+        off -= len(f)
+        k = len(f) // 2 - 1  # conjugator length
         mid = off + k
         if f[k] < 0:
             # u s^-2 u^-1: insert the cancelling square right after it.
-            idx = -f[k]
-            moves.append(InsertPositive(mid + 2, idx))
-            moves.append(InsertPositive(mid + 2, idx))
+            moves += [InsertPositive(mid + 2, -f[k])] * 2
         else:
-            # u s^2 u^-1: grow the square into a full twist in place.
+            # u s_j^2 u^-1: s_j^2 is the letters j-1 and n+j-2 of the full
+            # twist (s1...s_{n-1})^n; insert the others in order around it.
             positive += 1
-            for pos, j in delta_square_script(n, f[k]):
-                moves.append(InsertPositive(mid + pos, j))
-                moves.append(InsertPositive(mid + pos, j))
+            moves += [InsertPositive(mid + t, g) for t, g in enumerate(twist)
+                      if t not in (f[k] - 1, n + f[k] - 2)]
 
-    m = positive
-    end = BraidWord(n, beta0.letters + full_twist(n).letters * m)
+    end = BraidWord(n, beta0.letters + twist * positive)
     moves.append(RewriteEqual(end))
     script = MoveScript(start=w, moves=tuple(moves), declared_end=end)
     run_script(script)  # certify before handing out

@@ -55,8 +55,7 @@ class CorpusReport:
 
 
 def load_script(ref: str) -> MoveScript:
-    text = resources.files("hatlab").joinpath("data", "scripts", ref).read_text()
-    return parse_script(text, name=ref.rsplit(".", 1)[0])
+    return parse_script(resources.files("hatlab").joinpath("data", "scripts", ref).read_text())
 
 
 def replay_record(rec: KnotRecord) -> ScriptResult:

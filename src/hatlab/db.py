@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .braid import BraidWord, braid_text, closure_components, parse_braid, self_linking
+from .braid import (BraidError, BraidWord, braid_text, closure_components, parse_braid,
+                     self_linking)
 
 
 class DatabaseError(ValueError):
@@ -42,24 +43,40 @@ class KnotRecord:
         return self_linking(self.braid)
 
 
-def _data_text(name: str) -> str:
-    return resources.files("hatlab").joinpath("data", name).read_text()
+_NULL = type(None)
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               dict: "an object", list: "an array", _NULL: "null"}
+# The JSON types each record field may take; a field that may be null may be left out.
+_FIELDS = {"name": (str,), "strands": (int,), "braid": (str,), "slice_genus": (int,),
+           "determinant_one": (bool,), "script": (str, _NULL), "target": (dict, _NULL),
+           "note": (str, _NULL)}
 
 
-def _record_from_json(obj: dict) -> KnotRecord:
-    braid = parse_braid(obj["braid"], obj["strands"])
-    target = None
-    if obj.get("target"):
-        target = (obj["target"]["label"], obj["target"]["degree"])
-    return KnotRecord(
-        name=obj["name"],
-        braid=braid,
-        slice_genus=obj["slice_genus"],
-        determinant_one=obj["determinant_one"],
-        script_ref=obj.get("script"),
-        target=target,
-        note=obj.get("note", ""),
-    )
+def _check_fields(obj, spec: dict, where: str) -> None:
+    if type(obj) is not dict:
+        raise DatabaseError(f"{where}: expected an object, got {_JSON_TYPES[type(obj)]}")
+    for key, kinds in spec.items():
+        got = type(obj.get(key))  # exact types: JSON true is not an integer
+        if got not in kinds:
+            expected = " or ".join(map(_JSON_TYPES.get, kinds))
+            problem = f"is {_JSON_TYPES[got]}, expected {expected}" if key in obj else "is missing"
+            raise DatabaseError(f"{where}: field {key!r} {problem}")
+
+
+def _record_from_json(obj, where: str) -> KnotRecord:
+    if type(obj) is dict and type(obj.get("name")) is str:
+        where += f" ({obj['name']})"
+    _check_fields(obj, _FIELDS, where)
+    target = obj.get("target")
+    if target is not None:
+        _check_fields(target, {"label": (str,), "degree": (int,)}, f"{where}: field 'target'")
+        target = (target["label"], target["degree"])
+    try:
+        braid = parse_braid(obj["braid"], obj["strands"])
+    except BraidError as e:
+        raise DatabaseError(f"{where}: field 'braid': {e}") from e
+    return KnotRecord(obj["name"], braid, obj["slice_genus"], obj["determinant_one"],
+                      obj.get("script"), target, obj.get("note") or "")
 
 
 def _record_to_json(rec: KnotRecord) -> dict:
@@ -97,8 +114,9 @@ def load_db(path: Optional[str] = None) -> list[KnotRecord]:
     """Load and invariant-check the knot database.
 
     Resolution order: explicit ``path`` argument, the ``HATLAB_DB``
-    environment variable, then the embedded database.  Any record failing
-    its invariant aborts the load with the record's name.
+    environment variable, then the embedded database.  Bad JSON aborts the
+    load with its line and column, a missing or mistyped field with the
+    record's index, name and field, a failed invariant with the record's name.
     """
     if path is None:
         path = os.environ.get("HATLAB_DB")
@@ -106,9 +124,17 @@ def load_db(path: Optional[str] = None) -> list[KnotRecord]:
         with open(path) as fh:
             text = fh.read()
     else:
-        text = _data_text("knots.json")
-    payload = json.loads(text)
-    records = [_record_from_json(obj) for obj in payload["knots"]]
+        text = resources.files("hatlab").joinpath("data", "knots.json").read_text()
+    source = path or "knots.json"
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DatabaseError(f"{source}: invalid JSON at line {e.lineno}, "
+                            f"column {e.colno}: {e.msg}") from e
+    if type(payload) is not dict or type(payload.get("knots")) is not list:
+        raise DatabaseError(f"{source}: expected an object with a 'knots' array")
+    records = [_record_from_json(obj, f"{source}: knots[{i}]")
+               for i, obj in enumerate(payload["knots"])]
     for rec in records:
         check_record(rec)
     return records

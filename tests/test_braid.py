@@ -13,8 +13,6 @@ from hatlab.braid import (
     closure_components,
     conjugate,
     cyclic_permute,
-    delta_square_script,
-    apply_square_insertions,
     equal,
     exponent_sum,
     full_twist,
@@ -280,6 +278,36 @@ def test_normal_form_cache_is_bounded_by_letters():
     assert normal_form(long) == nf and normal_form(long) is not nf
 
 
+def _left_weighted(a, b):
+    # Every sigma_i that starts b (b puts a larger value at i-1 than at i)
+    # also finishes a (a puts the value i before the value i-1).
+    return all(a.index(i) < a.index(i - 1) for i in range(1, len(b)) if b[i - 1] > b[i])
+
+
+def _check_normal_form_shape(nf):
+    n = nf.strands
+    for f in nf.factors:
+        assert f != tuple(range(n)) and f != tuple(range(n - 1, -1, -1)), f
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        assert _left_weighted(a, b), (a, b)
+
+
+def test_normal_form_pairs_are_left_weighted():
+    rng = random.Random(17)
+    for t in range(400):
+        n = rng.randint(2, 16)
+        w = _mixed_word(rng, n, rng.randint(0, 120))
+        if t % 3 < 2:  # also all-positive and all-negative words
+            w = BraidWord(n, tuple(abs(g) if t % 3 == 0 else -abs(g) for g in w.letters))
+        _check_normal_form_shape(normal_form(w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=16), st.data())
+def test_normal_form_pairs_are_left_weighted_property(n, data):
+    _check_normal_form_shape(normal_form(BraidWord(n, data.draw(_letters(n)))))
+
+
 # ---------------------------------------------------------------------------
 # conjugation, cyclic permutation, Markov moves
 # ---------------------------------------------------------------------------
@@ -337,7 +365,7 @@ def test_stabilization_slk():
 
 
 # ---------------------------------------------------------------------------
-# half twist, full twist, square-insertion scripts
+# half twist and full twist
 # ---------------------------------------------------------------------------
 
 def test_half_twist_squares_to_full_twist():
@@ -348,25 +376,6 @@ def test_half_twist_squares_to_full_twist():
 def test_full_twist_small_cases():
     assert full_twist(2) == parse_braid("x^2", 2)
     assert equal(parse_braid("x^2yx^2y", 3), parse_braid("xyxyxy", 3))
-
-
-def test_delta_square_script_empty_for_b2():
-    assert delta_square_script(2, 1) == []
-
-
-def test_delta_square_script_reaches_full_twist():
-    for n in range(2, 7):
-        for i in range(1, n):
-            sc = delta_square_script(n, i)
-            out = apply_square_insertions(BraidWord(n, (i, i)), sc)
-            assert equal(out, full_twist(n)), (n, i)
-
-
-def test_delta_square_script_rejects_bad_index():
-    with pytest.raises(BraidError):
-        delta_square_script(4, 4)
-    with pytest.raises(BraidError):
-        delta_square_script(4, 0)
 
 
 # ---------------------------------------------------------------------------

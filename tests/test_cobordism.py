@@ -376,3 +376,37 @@ def test_to_torus_aligns_permutation():
     script = to_torus_script(w)
     end, _ = run_script(script)
     assert closure_components(end) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_positive_square_grows_into_the_literal_full_twist(n):
+    beta0, twist = tuple(range(1, n)), full_twist(n).letters
+    for k in range(1, n):
+        start = BraidWord(n, beta0 + (k, k))
+        stage1, *inserts, last = to_torus_script(start).moves
+        assert stage1 == RewriteEqual(start)
+        assert len(inserts) == n * (n - 1) - 2
+        w = start
+        for move in inserts:
+            assert isinstance(move, InsertPositive)
+            w = apply_move(w, move)
+        assert w.letters == beta0 + twist, (n, k)
+        assert last == RewriteEqual(w)
+
+
+# (braid, strands, full twists m in the end word, bands, moves) of seeded braids.
+@pytest.mark.parametrize("text, n, m, bands, moves", [
+    ("xYyxyx", 3, 3, 16, 19),
+    ("XYXxYy", 3, 0, 4, 6),
+    ("xY^3XY", 3, 1, 12, 15),
+    ("yYzXY", 4, 1, 16, 19),
+    ("YXzYX^2Z^2y", 4, 3, 44, 47),
+    ("WXzwYZxX", 5, 2, 46, 49),
+    ("xs5WZy", 6, 3, 94, 97),
+])
+def test_to_torus_script_pinned(text, n, m, bands, moves):
+    script = to_torus_script(parse_braid(text, n))
+    end, ledger = run_script(script)
+    assert end == script.declared_end
+    assert end.letters == tuple(range(1, n)) + full_twist(n).letters * m
+    assert (ledger.bands, ledger.genus, len(script.moves)) == (bands, bands // 2, moves)

@@ -9,6 +9,7 @@ from hatlab import bounds as bounds_mod
 from hatlab.cli import main
 from hatlab.corpus import load_script
 from hatlab.cobordism import serialize_script
+from hatlab.db import DatabaseError, load_db
 
 
 def run_cli(capsys, *argv):
@@ -159,3 +160,34 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     assert (rc, out) == (2, "")
     assert err.startswith("hatlab: error: ") and err.count("\n") == 1
     assert message in err
+
+
+# One valid record of the database; the cases below spoil copies of it.
+_RECORD = {"name": "m(8_20)", "strands": 3, "braid": "x^3yX^3y", "slice_genus": 0,
+           "determinant_one": False, "script": None, "target": None, "note": ""}
+
+
+def _database(*records):
+    return json.dumps({"knots": list(records)}, indent=2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"knots": [\n  {"name": "a",}\n]}\n', "invalid JSON at line 2, column 16"),
+    (_database(_RECORD, {k: v for k, v in _RECORD.items() if k != "strands"}),
+     "knots[1] (m(8_20)): field 'strands' is missing"),
+    (_database({**_RECORD, "strands": "3"}),
+     "knots[0] (m(8_20)): field 'strands' is a string, expected an integer"),
+    (_database(_RECORD, _RECORD, {**_RECORD, "determinant_one": 0}),
+     "knots[2] (m(8_20)): field 'determinant_one' is an integer, expected a boolean"),
+])
+def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
+    path = tmp_path / "knots.json"
+    path.write_text(text)
+    with pytest.raises(DatabaseError) as exc:
+        load_db(str(path))
+    assert str(exc.value).startswith(f"{path}: {message}")
+    monkeypatch.setenv("HATLAB_DB", str(path))
+    rc = main(["covers", "--knot", "m(8_20)", "--r", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"hatlab: error: {path}: {message}") and err.count("\n") == 1
