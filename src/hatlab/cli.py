@@ -93,6 +93,7 @@ def _cmd_search(args) -> int:
         payload = {
             "params": {"p": rep.p, "blowups": rep.blowups, "genus": rep.genus,
                        "a_min": rep.a_min, "a_max": rep.a_max},
+            "nodes": rep.nodes,
             "solutions": [
                 {
                     "a": s.cls.a,

@@ -17,25 +17,32 @@ simple cusp.
 
 All arithmetic is exact; enumeration bounds are explicit so completeness is
 auditable: positivity forces 0 <= b_i <= a for any solution with a > 0.
+
+A search can emit a quarter of a million classes, so the objects are kept
+small: every class and annotation is a slotted dataclass, and the five
+positivity booleans are shared, one :class:`GromovDetail` per combination.
+The enumeration walks one shared prefix list and emits the solutions
+already in output order; nothing is sorted afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from math import isqrt
 
 
 class SearchError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CurveClass:
     a: int
     b: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.a < 0 or any(x < 0 for x in self.b):
+        if self.a < 0 or min(self.b, default=0) < 0:
             raise SearchError("coefficients must be non-negative")
         if list(self.b) != sorted(self.b, reverse=True):
             object.__setattr__(self, "b", tuple(sorted(self.b, reverse=True)))
@@ -73,7 +80,7 @@ def class_genus(c: CurveClass, sing_genus_sum: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GromovDetail:
     line_with_cusp: bool     # a >= b_1 + p
     line_two_points: bool    # a >= b_1 + b_2
@@ -100,13 +107,19 @@ def gromov_constraints(p: int, c: CurveClass) -> GromovDetail:
     a = c.a
     b = list(c.b) + [0] * max(0, 5 - len(c.b))
     ext = sorted(list(c.b) + [p, 2], reverse=True) + [0] * 5
-    return GromovDetail(
-        line_with_cusp=a >= b[0] + p,
-        line_two_points=a >= b[0] + b[1],
-        conic_with_cusp=2 * a >= b[0] + b[1] + b[2] + b[3] + p,
-        conic_five_points=2 * a >= sum(b[:5]),
-        all_permuted=(a >= ext[0] + ext[1]) and (2 * a >= sum(ext[:5])),
+    return _shared_detail(
+        a >= b[0] + p,                                   # line_with_cusp
+        a >= b[0] + b[1],                                # line_two_points
+        2 * a >= b[0] + b[1] + b[2] + b[3] + p,          # conic_with_cusp
+        2 * a >= sum(b[:5]),                             # conic_five_points
+        (a >= ext[0] + ext[1]) and (2 * a >= sum(ext[:5])),  # all_permuted
     )
+
+
+@cache
+def _shared_detail(*flags: bool) -> GromovDetail:
+    # at most 32 distinct details exist; every class with the same flags shares one
+    return GromovDetail(*flags)
 
 
 def ohta_ono_filter(p: int, c: CurveClass) -> bool:
@@ -121,7 +134,7 @@ def ohta_ono_filter(p: int, c: CurveClass) -> bool:
     return c.self_intersection <= p * p + 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotated:
     cls: CurveClass
     gromov: GromovDetail
@@ -140,6 +153,7 @@ class SearchReport:
     a_min: int
     a_max: int
     solutions: tuple[Annotated, ...]
+    nodes: int  # enumeration nodes visited
 
     @property
     def classes(self) -> list[CurveClass]:
@@ -150,32 +164,33 @@ class SearchReport:
         return [s.cls for s in self.solutions if s.survives]
 
 
-def _descending_tuples(n: int, hi: int, budget: int,
-                       visited: list[int], cap: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing n-tuples with entries in [0, hi] and
-    sum of b*(b-1) equal to the budget.
+def _descending_tuples(n: int, hi: int, budget: int, prefix: list[int],
+                       out: list[tuple[int, ...]], visited: list[int], cap: int) -> None:
+    """Append to ``out`` every non-increasing n-tuple with entries in
+    [0, hi] and sum of b*(b-1) equal to the budget, each after ``prefix``.
 
-    Every call is one node of the enumeration and adds one to
-    ``visited[0]``; the node that takes the count past ``cap`` raises.
+    Tuples come out lexicographically descending.  Every call is one node
+    of the enumeration and adds one to ``visited[0]``; the node that takes
+    the count past ``cap`` raises.
     """
     visited[0] += 1
     if visited[0] > cap:
         raise SearchError(f"enumeration exceeds cap: more than {cap} nodes visited")
     if n == 0:
         if budget == 0:
-            yield ()
+            out.append(tuple(prefix))
         return
-    # entries below are at most `first`, so the most this level can still
-    # consume is n * first*(first-1)
-    for first in range(min(hi, budget + 1), -1, -1):
+    # start at the largest entry with first*(first-1) <= budget; entries
+    # below are at most `first`, so the most this level can still consume
+    # is n * first*(first-1)
+    for first in range(min(hi, (1 + isqrt(1 + 4 * budget)) // 2), -1, -1):
         w = first * (first - 1)
         rest = budget - w
-        if rest < 0:
-            continue
         if rest > (n - 1) * w:
             break  # smaller entries cannot make up the remainder
-        for tail in _descending_tuples(n - 1, first, rest, visited, cap):
-            yield (first,) + tail
+        prefix.append(first)
+        _descending_tuples(n - 1, first, rest, prefix, out, visited, cap)
+        prefix.pop()
 
 
 def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
@@ -184,10 +199,13 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
 
     The budget form of the constraint is ``sum b_i(b_i - 1) = a^2 - 3a -
     (p^2 - p) - 2*genus``, so the inner enumeration walks non-increasing
-    tuples with exact pruning.  Output order is lexicographic on (a, b);
-    results are independent of enumeration order and chunking.  ``cap``
-    bounds the work done: the search raises :class:`SearchError` once the
-    enumeration has visited more than ``cap`` nodes over all degrees.
+    tuples with exact pruning.  The walk emits the solutions in output
+    order, ascending in a and lexicographically descending in b; results
+    are independent of chunking.  Annotations share their
+    :class:`GromovDetail` objects.  ``cap`` bounds the work done: the
+    search raises :class:`SearchError` once the enumeration has visited
+    more than ``cap`` nodes over all degrees; ``nodes`` in the report is
+    the count visited.
     """
     if p < 2:
         raise SearchError("need p >= 2")
@@ -199,14 +217,15 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
         budget = a * a - 3 * a - (p * p - p) - 2 * genus
         if budget < 0:
             continue
-        for b in _descending_tuples(blowups, a, budget, visited, cap):
+        tuples: list[tuple[int, ...]] = []
+        _descending_tuples(blowups, a, budget, [], tuples, visited, cap)
+        for b in tuples:
             cls = CurveClass(a, b)
             assert adjunction_at_genus(p, cls, genus)
             found.append(
                 Annotated(cls, gromov_constraints(p, cls), ohta_ono_filter(p, cls))
             )
-    found.sort(key=lambda s: (s.cls.a, tuple(-x for x in s.cls.b)))
-    return SearchReport(p, blowups, genus, a_min, a_max, tuple(found))
+    return SearchReport(p, blowups, genus, a_min, a_max, tuple(found), visited[0])
 
 
 @dataclass(frozen=True)

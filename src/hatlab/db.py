@@ -9,7 +9,8 @@ braid closures.
 
 The database lives in ``data/knots.json`` and round-trips through
 :func:`serialize_db` byte-identically.  Set ``HATLAB_DB`` to point at an
-external file with the same layout.
+external UTF-8 file with the same layout; a record field outside that layout
+is an error, not ignored.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ _FIELDS = {"name": (str,), "strands": (int,), "braid": (str,), "slice_genus": (i
 def _check_fields(obj, spec: dict, where: str) -> None:
     if type(obj) is not dict:
         raise DatabaseError(f"{where}: expected an object, got {_JSON_TYPES[type(obj)]}")
+    for key in obj:
+        if key not in spec:
+            raise DatabaseError(f"{where}: unknown field {key!r}")
     for key, kinds in spec.items():
         got = type(obj.get(key))  # exact types: JSON true is not an integer
         if got not in kinds:
@@ -114,18 +118,24 @@ def load_db(path: Optional[str] = None) -> list[KnotRecord]:
     """Load and invariant-check the knot database.
 
     Resolution order: explicit ``path`` argument, the ``HATLAB_DB``
-    environment variable, then the embedded database.  Bad JSON aborts the
-    load with its line and column, a missing or mistyped field with the
-    record's index, name and field, a failed invariant with the record's name.
+    environment variable, then the embedded database.  The file is read as
+    UTF-8.  Bytes that are not UTF-8 abort the load with their offset, bad
+    JSON with its line and column, a missing, mistyped or unknown field with
+    the record's index, name and field, a failed invariant with the record's
+    name.
     """
     if path is None:
         path = os.environ.get("HATLAB_DB")
     if path is not None:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     else:
-        text = resources.files("hatlab").joinpath("data", "knots.json").read_text()
+        data = resources.files("hatlab").joinpath("data", "knots.json").read_bytes()
     source = path or "knots.json"
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DatabaseError(f"{source}: not UTF-8 at byte {e.start}: {e.reason}") from e
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:

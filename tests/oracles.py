@@ -1,5 +1,7 @@
 """Brute-force reference implementations that the tests compare against."""
 
+from functools import cache
+
 from hatlab.braid import BraidWord
 from hatlab.curves import CurveClass, adjunction_at_genus
 
@@ -21,6 +23,28 @@ def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
     for a in range(a_min, a_max + 1):
         rec(a, [], blowups)
     return sorted(out, key=lambda c: (c.a, tuple(-x for x in c.b)))
+
+
+def count_solutions(p: int, blowups: int, a_min: int, a_max: int,
+                    genus: int = 0) -> int:
+    """Number of adjunction solutions in range, counted without listing them.
+
+    A solution of degree a is a non-increasing tuple b with sum b_i(b_i - 1)
+    equal to a^2 - 3a - (p^2 - p) - 2*genus.  The count recurses on the
+    largest entry v, leaving tuples with entries at most v, memoized on
+    (entries left, largest allowed entry, budget left).
+    """
+
+    @cache
+    def count(n: int, hi: int, budget: int) -> int:
+        if n == 0:
+            return int(budget == 0)
+        return sum(count(n - 1, v, budget - v * (v - 1))
+                   for v in range(hi + 1) if v * (v - 1) <= budget)
+
+    budgets = [(a, a * a - 3 * a - (p * p - p) - 2 * genus)
+               for a in range(a_min, a_max + 1)]
+    return sum(count(blowups, a, budget) for a, budget in budgets if budget >= 0)
 
 
 def semigroup_elements(p: int, q: int, up_to: int) -> list[int]:

@@ -16,7 +16,7 @@ from hatlab.curves import (
     search,
     triangular_difference,
 )
-from oracles import brute_force_solutions
+from oracles import brute_force_solutions, count_solutions
 
 
 def test_curve_class_canonical_form():
@@ -153,10 +153,38 @@ def test_search_cap():
     ((7, 4, 0, 56), 26_359, 3_000),
 ])
 def test_search_cap_counts_nodes_visited(args, nodes, solutions):
-    assert len(search(*args).solutions) == solutions
+    rep = search(*args)
+    assert len(rep.solutions) == solutions
+    assert rep.nodes == nodes
     assert len(search(*args, cap=nodes).solutions) == solutions
     with pytest.raises(SearchError, match="exceeds cap"):
         search(*args, cap=nodes - 1)
+
+
+@pytest.mark.parametrize("args, genus", [
+    ((5, 3, 0, 14), 0), ((6, 4, 0, 12), 0), ((4, 2, 0, 30), 1),
+    ((7, 6, 0, 26), 0), ((8, 6, 0, 30), 0),
+])
+def test_search_emits_solutions_in_order(args, genus):
+    # ascending in a, lexicographically descending in b, each class once
+    keys = [(s.cls.a, tuple(-x for x in s.cls.b))
+            for s in search(*args, genus=genus).solutions]
+    assert keys
+    assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("args", [(7, 6, 0, 26), (6, 7, 0, 24)])
+def test_search_count_matches_memoized_count(args):
+    assert len(search(*args).solutions) == count_solutions(*args)
+
+
+def test_search_objects_are_compact():
+    rep = search(8, 6, 0, 30)
+    sol = rep.solutions[0]
+    for obj in (sol, sol.cls, sol.gromov):
+        assert not hasattr(obj, "__dict__")
+    # one shared detail per combination of the five booleans
+    assert len({id(s.gromov) for s in rep.solutions}) <= 32
 
 
 def test_triangular_difference_examples():

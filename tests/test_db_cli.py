@@ -76,6 +76,8 @@ def test_search_json_schema(capsys):
     payload = json.loads(out)
     assert payload["params"] == {"p": 3, "blowups": 1, "genus": 0,
                                  "a_min": 0, "a_max": 20}
+    assert list(payload) == ["params", "nodes", "solutions"]
+    assert payload["nodes"] == 17  # enumeration nodes visited
     (sol,) = payload["solutions"]
     assert sol["a"] == 6 and sol["b"] == [4]
     assert sol["self_int"] == 20
@@ -168,7 +170,10 @@ _RECORD = {"name": "m(8_20)", "strands": 3, "braid": "x^3yX^3y", "slice_genus": 
 
 
 def _database(*records):
-    return json.dumps({"knots": list(records)}, indent=2)
+    return json.dumps({"knots": list(records)}, indent=2, ensure_ascii=False)
+
+
+_LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -179,10 +184,16 @@ def _database(*records):
      "knots[0] (m(8_20)): field 'strands' is a string, expected an integer"),
     (_database(_RECORD, _RECORD, {**_RECORD, "determinant_one": 0}),
      "knots[2] (m(8_20)): field 'determinant_one' is an integer, expected a boolean"),
+    (_LATIN1, f"not UTF-8 at byte {_LATIN1.index(b'caf') + 3}: invalid continuation byte"),
+    (_database(_RECORD, {**{k: v for k, v in _RECORD.items() if k != "slice_genus"},
+                         "slcie_genus": 0}),
+     "knots[1] (m(8_20)): unknown field 'slcie_genus'"),
+    (_database({**_RECORD, "target": {"label": "T(2,3)", "degree": 3, "genus": 1}}),
+     "knots[0] (m(8_20)): field 'target': unknown field 'genus'"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(DatabaseError) as exc:
         load_db(str(path))
     assert str(exc.value).startswith(f"{path}: {message}")
