@@ -1,54 +1,13 @@
 """hatlab: braid rewriting cobordisms, projective hat bounds, curve-class
-searches, and branched-cover bookkeeping for transverse knots."""
+searches, and branched-cover bookkeeping for transverse knots.
 
-from .braid import (
-    BraidError,
-    BraidWord,
-    braid_text,
-    closure_components,
-    conjugate,
-    cyclic_permute,
-    equal,
-    exponent_sum,
-    full_twist,
-    half_twist,
-    markov_destabilize,
-    markov_stabilize,
-    normal_form,
-    parse_braid,
-    self_linking,
-    underlying_permutation,
-)
-from .cobordism import MoveScript, ScriptError, parse_script, run_script, to_torus_script
-from .corpus import verify_corpus
-from .db import KnotRecord, get_knot, load_db
+Import what you use from the submodules (``hatlab.braid``,
+``hatlab.cobordism``, ...): importing the package itself loads none of
+them, so each ``hatlab`` command loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidError",
-    "BraidWord",
-    "KnotRecord",
-    "MoveScript",
-    "ScriptError",
-    "braid_text",
-    "closure_components",
-    "conjugate",
-    "cyclic_permute",
-    "equal",
-    "exponent_sum",
-    "full_twist",
-    "get_knot",
-    "half_twist",
-    "load_db",
-    "markov_destabilize",
-    "markov_stabilize",
-    "normal_form",
-    "parse_braid",
-    "parse_script",
-    "run_script",
-    "self_linking",
-    "to_torus_script",
-    "underlying_permutation",
-    "verify_corpus",
-]
+
+class HatlabError(ValueError):
+    """Base of every input error hatlab raises; the CLI turns one into exit 2."""

@@ -25,8 +25,10 @@ from importlib import resources
 from math import gcd
 from typing import Optional
 
+from . import HatlabError
 
-class BoundsError(ValueError):
+
+class BoundsError(HatlabError):
     pass
 
 

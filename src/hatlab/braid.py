@@ -38,8 +38,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from . import HatlabError
 
-class BraidError(ValueError):
+
+class BraidError(HatlabError):
     """Raised for malformed words, bad indices, or unmet preconditions."""
 
 
@@ -140,6 +142,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         if ch.isspace():
             i += 1
             continue
+        start = i
         if ch in "sS":
             j = i + 1
             while j < len(text) and text[j].isdigit():
@@ -168,9 +171,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             power = int(text[i + 1:k])
             i = k
         if index < 1 or index >= strands:
-            raise BraidError(
-                f"letter index {index} needs strands >= {index + 1}, have {strands}"
-            )
+            raise BraidError(f"letter index {index} at column {start} in {text!r} is "
+                             f"outside 1..{strands - 1} for {strands} strands")
         if power < 0:
             sign, power = -sign, -power
         letters.extend([sign * index] * power)

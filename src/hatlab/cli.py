@@ -3,31 +3,38 @@ cover bookkeeping, and reproduction reports.
 
 Human-readable TSV by default; ``--json`` where structured output makes
 sense.  Report commands exit nonzero iff any line fails.  An input error
-prints one ``hatlab: error:`` line to stderr and exits 2.
+(any ``HatlabError``, or an ``OSError`` reading a file) prints one
+``hatlab: error:`` line to stderr and exits 2.
+
+Each command runs in a fresh interpreter, so importing is part of its
+cost.  The rule: this module imports only ``argparse``, ``sys`` and
+``HatlabError`` at the top, and each ``_cmd_*`` handler and
+``_reproduce_*`` report imports the hatlab modules it runs (and ``json``
+where it prints JSON).  So ``eq`` and ``slk`` load ``braid`` alone,
+``bounds`` and ``t2-table`` load ``bounds``, ``search`` loads ``curves``,
+``run-script`` loads ``braid`` and ``cobordism``, and ``verify-corpus``
+loads ``braid``, ``cobordism``, ``corpus`` and ``db``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import bounds as bounds_mod
-from . import covers as covers_mod
-from . import curves as curves_mod
-from .braid import BraidError, braid_text, equal, parse_braid, self_linking
-from .cobordism import ScriptError, parse_script, run_script
-from .corpus import verify_corpus
-from .db import DatabaseError, get_knot
+from . import HatlabError
 
 
 def _cmd_slk(args) -> int:
+    from .braid import parse_braid, self_linking
+
     w = parse_braid(args.braid, args.strands)
     print(self_linking(w))
     return 0
 
 
 def _cmd_eq(args) -> int:
+    from .braid import equal, parse_braid
+
     w1 = parse_braid(args.braid1, args.strands)
     w2 = parse_braid(args.braid2, args.strands)
     same = equal(w1, w2)
@@ -36,8 +43,16 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_run_script(args) -> int:
-    with open(args.file) as fh:
-        script = parse_script(fh.read())
+    from .braid import braid_text
+    from .cobordism import ScriptError, parse_script, run_script
+
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScriptError(f"{args.file}: not UTF-8 at byte {e.start}: {e.reason}") from e
+    script = parse_script(text)
     end, ledger = run_script(script)
     print(f"end: {braid_text(end)} (B_{end.strands})")
     print(f"bands: {ledger.bands}\teuler: {ledger.euler}")
@@ -50,6 +65,8 @@ def _cmd_run_script(args) -> int:
 
 
 def _cmd_verify_corpus(args) -> int:
+    from .corpus import verify_corpus
+
     report = verify_corpus()
     print("name\tstatus\tbands\tgenus\tslk_start\tslk_end\tend\tdetail")
     for row in report.rows():
@@ -59,6 +76,8 @@ def _cmd_verify_corpus(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     rep = bounds_mod.bounds_report(args.slk, args.slice_genus)
     print(f"slk\t{rep.slk}")
     print(f"slice_genus\t{rep.slice_genus if rep.slice_genus is not None else '?'}")
@@ -70,8 +89,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_t2_table(args) -> int:
+    from . import bounds as bounds_mod
+
     rows = bounds_mod.t2_table(args.kmax)
     if args.json:
+        import json
+
         payload = [
             {"k": r.k, "lower_bound": r.lower_bound, "witness_genus": r.witness_genus}
             for r in rows
@@ -86,10 +109,14 @@ def _cmd_t2_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import curves as curves_mod
+
     rep = curves_mod.search(args.p, args.blowups, args.amin, args.amax, args.genus)
     rows = [(s, s.gromov.line_with_cusp and s.gromov.line_two_points,
              s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions]
     if args.json:
+        import json
+
         payload = {
             "params": {"p": rep.p, "blowups": rep.blowups, "genus": rep.genus,
                        "a_min": rep.a_min, "a_max": rep.a_max},
@@ -115,12 +142,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_covers(args) -> int:
+    from . import covers as covers_mod
+    from .db import get_knot
+
     rec = get_knot(args.knot)
     print(covers_mod.cover_line(rec.name, rec.slice_genus, args.r))
     return 0
 
 
 def _reproduce_t2() -> list[tuple[str, bool]]:
+    from . import bounds as bounds_mod
+
     rows = bounds_mod.t2_table(max(bounds_mod.load_witnesses().t2_witnesses))
     return [
         (f"t2 k={r.k}: value {r.value} expected {r.witness_genus}",
@@ -130,6 +162,8 @@ def _reproduce_t2() -> list[tuple[str, bool]]:
 
 
 def _reproduce_k3() -> list[tuple[str, bool]]:
+    from . import curves as curves_mod
+
     out = []
     rep = curves_mod.search(3, 1, 0, 20, genus=0)
     ok = rep.classes == [curves_mod.CurveClass(6, (4,))]
@@ -162,6 +196,8 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
 
 
 def _reproduce_scripts() -> list[tuple[str, bool]]:
+    from .corpus import verify_corpus
+
     report = verify_corpus()
     out = [(f"script {r.name}", r.ok) for r in report.results]
     out.append((report.summary(), report.ok))
@@ -169,6 +205,9 @@ def _reproduce_scripts() -> list[tuple[str, bool]]:
 
 
 def _reproduce_covers() -> list[tuple[str, bool]]:
+    from . import bounds as bounds_mod
+    from . import covers as covers_mod
+
     db = bounds_mod.load_witnesses()
     out = []
     for t in db.cover_targets:
@@ -262,8 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BraidError, ScriptError, DatabaseError, bounds_mod.BoundsError,
-            curves_mod.SearchError, covers_mod.CoverError, OSError) as e:
+    except (HatlabError, OSError) as e:
         print(f"hatlab: error: {e}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
+from . import HatlabError
 from .braid import (
     BraidError,
     BraidWord,
@@ -62,7 +63,7 @@ from .braid import (
 )
 
 
-class ScriptError(ValueError):
+class ScriptError(HatlabError):
     """A script line is malformed, or a move failed to apply or certify during replay."""
 
 

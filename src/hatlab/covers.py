@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from . import HatlabError
 from .bounds import load_witnesses, plane_curve_genus
 
 
-class CoverError(ValueError):
+class CoverError(HatlabError):
     pass
 
 

@@ -31,8 +31,10 @@ from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 
+from . import HatlabError
 
-class SearchError(ValueError):
+
+class SearchError(HatlabError):
     pass
 
 

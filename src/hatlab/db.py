@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+from . import HatlabError
 from .braid import (BraidError, BraidWord, braid_text, closure_components, parse_braid,
                      self_linking)
 
 
-class DatabaseError(ValueError):
+class DatabaseError(HatlabError):
     pass
 
 

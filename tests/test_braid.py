@@ -64,6 +64,18 @@ def test_parse_rejects_out_of_range_letter():
         parse_braid("xyXY", 2)  # y needs 3 strands
 
 
+@pytest.mark.parametrize("text, strands, message", [
+    ("s0", 3, "letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
+    ("x S0^2", 4, "letter index 0 at column 2 in 'x S0^2' is outside 1..3 for 4 strands"),
+    ("xy s3", 3, "letter index 3 at column 3 in 'xy s3' is outside 1..2 for 3 strands"),
+    ("xY", 2, "letter index 2 at column 1 in 'xY' is outside 1..1 for 2 strands"),
+])
+def test_parse_range_error_names_column_and_valid_range(text, strands, message):
+    with pytest.raises(BraidError) as exc:
+        parse_braid(text, strands)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_unknown_letter():
     with pytest.raises(BraidError):
         parse_braid("xqy", 3)

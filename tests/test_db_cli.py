@@ -2,13 +2,21 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hatlab
+from hatlab import HatlabError
 from hatlab import bounds as bounds_mod
+from hatlab.braid import BraidError
 from hatlab.cli import main
+from hatlab.cobordism import ScriptError, serialize_script
 from hatlab.corpus import load_script
-from hatlab.cobordism import serialize_script
+from hatlab.covers import CoverError
+from hatlab.curves import SearchError
 from hatlab.db import DatabaseError, load_db
 
 
@@ -152,16 +160,76 @@ def test_reproduce_cover_books_output(capsys):
     (["covers", "--knot", "m9_46", "--r", "2"], "m9_46"),
     (["run-script", "{missing}"], "No such file"),
     (["run-script", "{malformed}"], "line 3"),
+    (["eq", "s0", "x", "--strands", "3"],  # BraidError
+     "letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
+    (["bounds", "--slk", "10"], "self-linking numbers of knots are odd"),  # BoundsError
+    (["search", "--p", "1", "--blowups", "1", "--amin", "0", "--amax", "5"],
+     "need p >= 2"),  # SearchError
+    (["run-script", "{latin1}"],  # ScriptError
+     "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("strands: 3\nstart: xy\nstab q\n")
-    paths = {"missing": tmp_path / "missing.txt", "malformed": malformed}
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"strands: 3\nstart: x\xe9\n")
+    paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1}
     rc = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.startswith("hatlab: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_cover_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    # 12n_242 has recorded books; a slice genus of 12 asks for b2 = 24 > 22.
+    record = {"name": "12n_242", "strands": 2, "braid": "x^25", "slice_genus": 12,
+              "determinant_one": True, "script": None, "target": None, "note": ""}
+    path = tmp_path / "knots.json"
+    path.write_text(json.dumps({"knots": [record]}))
+    monkeypatch.setenv("HATLAB_DB", str(path))
+    rc = main(["covers", "--knot", "12n_242", "--r", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "hatlab: error: filling rank exceeds the K3 lattice\n"
+
+
+def test_every_input_error_is_a_hatlab_error():
+    for cls in (BraidError, ScriptError, DatabaseError, bounds_mod.BoundsError,
+                SearchError, CoverError):
+        assert issubclass(cls, HatlabError), cls
+    assert issubclass(HatlabError, ValueError)
+
+
+def test_other_value_errors_are_not_input_errors(monkeypatch):
+    def broken(slk, slice_genus):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(bounds_mod, "bounds_report", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["bounds", "--slk", "9"])
+
+
+_LOADED = "import sys; from hatlab.cli import main; rc = main(sys.argv[1:]); " \
+          "print(' '.join(sorted(m for m in sys.modules if m.startswith('hatlab.')))); " \
+          "sys.exit(rc)"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["eq", "xyx", "yxy", "--strands", "3"], {"braid"}),
+    (["search", "--p", "3", "--blowups", "1", "--amin", "0", "--amax", "20"], {"curves"}),
+    (["bounds", "--slk", "9"], {"bounds"}),
+    (["covers", "--knot", "12n_242", "--r", "2"], {"braid", "db", "covers", "bounds"}),
+    (["verify-corpus"], {"braid", "cobordism", "corpus", "db"}),
+])
+def test_each_command_imports_only_its_modules(argv, modules):
+    env = {k: v for k, v in os.environ.items() if k != "HATLAB_DB"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hatlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded == {"hatlab.cli"} | {f"hatlab.{m}" for m in modules}
 
 
 # One valid record of the database; the cases below spoil copies of it.
