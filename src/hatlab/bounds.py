@@ -6,8 +6,10 @@ projective hat has genus exactly
     g_hat(d) = (d^2 - 3d + 2)/2 - (slk + 1)/2,
 
 equivalently ``slk = (d^2 - 3d + 1) - 2 g_hat``, so genus and degree
-determine each other.  Everything here is exact integer arithmetic;
-quadratic solves go through discriminant tests, never floats.
+determine each other.  Everything here is exact integer arithmetic.  Every
+degree bound is the least d with (d-1)(d-2)/2 >= g for some g, solved in
+closed form by ``triangular_lb`` through an integer square root of the
+discriminant 8g + 1, never floats or a search.
 
 Upper bounds come from recorded witness constructions (external curves and
 crossing-change upgrades of them); those are declarative data with
@@ -22,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from . import HatlabError
@@ -56,14 +58,6 @@ def slk_from_hat(d: int, genus: int) -> int:
     return (d * d - 3 * d + 1) - 2 * genus
 
 
-def min_hat_degree(slk: int) -> int:
-    """Smallest degree admitting a non-negative hat genus for this slk."""
-    d = 1
-    while (d * d - 3 * d + 2) - (slk + 1) < 0:
-        d += 1
-    return d
-
-
 def triangular_lb(g_s: int) -> tuple[int, int, int]:
     """(m, d, genus_lb): least m = (d-2)(d-1)/2 >= g_s and the bound m - g_s.
 
@@ -72,9 +66,8 @@ def triangular_lb(g_s: int) -> tuple[int, int, int]:
     """
     if g_s < 0:
         raise BoundsError("slice genus must be >= 0")
-    d = 1
-    while (d - 2) * (d - 1) // 2 < g_s:
-        d += 1
+    # (d-1)(d-2)/2 >= g_s iff 2d - 3 >= sqrt(8 g_s + 1), whose ceiling is 1 + isqrt(8 g_s).
+    d = 1 if g_s == 0 else (isqrt(8 * g_s) + 5) // 2
     m = (d - 2) * (d - 1) // 2
     return m, d, m - g_s
 
@@ -163,12 +156,10 @@ class Witness:
 class WitnessDB:
     t2_witnesses: dict[int, Witness]            # k -> best recorded hat
     t2_lower_upgrades: dict[int, tuple[int, str]]  # k -> (bound, source)
-    hirzebruch_hats: list[dict]                 # stored facts, never derived
     cover_targets: list[dict]                   # K3 presentations vs targets
     filling_signatures: dict[str, dict]         # knot -> recorded filling
     curve_exclusions: list[dict]                # classes excluded by recorded
                                                 # filling obstructions
-    open_flags: list[str]
 
 
 @cache
@@ -194,7 +185,6 @@ def load_witnesses() -> WitnessDB:
     return WitnessDB(
         t2_witnesses=t2,
         t2_lower_upgrades=ups,
-        hirzebruch_hats=payload.get("hirzebruch_hats", []),
         cover_targets=[
             {**row, "degree": tuple(d) if isinstance(d := row["degree"], list) else d}
             for row in payload.get("cover_targets", [])
@@ -203,23 +193,19 @@ def load_witnesses() -> WitnessDB:
             row["knot"]: row for row in payload.get("filling_signatures", [])
         },
         curve_exclusions=payload.get("curve_class_exclusions", []),
-        open_flags=payload.get("open_flags", []),
     )
 
 
 def t2_lower_bound(k: int) -> int:
     """Lower bound for the hat genus of the maximal-slk T(2,2k+1).
 
-    Writes k = d(d-1)/2 + l with 1 <= l <= d and bounds by d - l; recorded
-    obstruction upgrades (stored with provenance) may raise it.
+    T(2,2k+1) is quasipositive of slice genus k, so the triangular bound
+    applies: writing k = d(d-1)/2 + l with 1 <= l <= d, it is d - l.
+    Recorded obstruction upgrades (stored with provenance) may raise it.
     """
     if k < 1:
         raise BoundsError("need k >= 1")
-    d = 1
-    while d * (d + 1) // 2 < k:
-        d += 1
-    l = k - d * (d - 1) // 2
-    bound = d - l
+    bound = triangular_lb(k)[2]
     upgrade = load_witnesses().t2_lower_upgrades.get(k)
     if upgrade is not None:
         bound = max(bound, upgrade[0])
@@ -273,15 +259,12 @@ def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport
         raise BoundsError("self-linking numbers of knots are odd")
     if slice_genus is None and slk >= -1:
         slice_genus = slice_genus_qp(slk)
-    d0 = min_hat_degree(slk)
+    # The least degree with a non-negative hat genus: (d-1)(d-2) >= slk + 1.
+    d0 = triangular_lb(max(0, (slk + 1) // 2))[1]
     if slice_genus is not None:
-        m, d_tri, g_lb = triangular_lb(slice_genus)
+        _, d_tri, genus_lb = triangular_lb(slice_genus)
         d0 = max(d0, d_tri)
-        genus_lb = g_lb
-    else:
-        genus_lb = max(0, negbraid_hat_genus(slk)) if slk <= -1 else 0
+    else:  # slk < -1
+        genus_lb = negbraid_hat_genus(slk)
     table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
-    for d, g in table.items():
-        if slk_from_hat(d, g) != slk:
-            raise BoundsError("internal error: degree/genus relation broken")
     return HatBoundReport(slk, slice_genus, d0, genus_lb, table)

@@ -30,7 +30,10 @@ never cached.
 
 Conventions: words act on strand positions top to bottom with letters read
 left to right, and the permutation of a word maps the starting position of
-a strand to its ending position.
+a strand to its ending position.  A permutation has one representation, the
+tuple of 0-based images: ``underlying_permutation`` returns it, the factors
+of a ``NormalForm`` are stored as it, and ``simple_word`` turns it back into
+its positive permutation braid.
 """
 
 from __future__ import annotations
@@ -82,40 +85,6 @@ class BraidWord:
         if other.strands != self.strands:
             raise BraidError("cannot multiply words with different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., n}, stored as the tuple of images of 1..n."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise BraidError(f"not a permutation of 1..{n}: {self.images}")
-
-    def __call__(self, p: int) -> int:
-        return self.images[p - 1]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            p = self(start)
-            while p != start:
-                cyc.append(p)
-                seen.add(p)
-                p = self(p)
-            out.append(tuple(cyc))
-        return out
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
 
 def identity(strands: int) -> BraidWord:
@@ -225,22 +194,31 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-g for g in reversed(w.letters)))
 
 
-def underlying_permutation(w: BraidWord) -> Permutation:
-    """The permutation sending each strand's start position to its end."""
-    n = w.strands
-    at_pos = list(range(n))  # at_pos[q] = strand currently at position q
+def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
+    """The permutation sending each strand's start position to its end, 0-based."""
+    at_pos = list(range(w.strands))  # at_pos[q] = strand currently at position q
     for g in w.letters:
         i = abs(g)
         at_pos[i - 1], at_pos[i] = at_pos[i], at_pos[i - 1]
-    images = [0] * n
+    images = [0] * w.strands
     for q, s in enumerate(at_pos):
-        images[s] = q + 1
-    return Permutation(tuple(images))
+        images[s] = q
+    return tuple(images)
 
 
 def closure_components(w: BraidWord) -> int:
     """Number of components of the closure: cycles of the permutation."""
-    return len(underlying_permutation(w).cycles())
+    perm = underlying_permutation(w)
+    seen = [False] * w.strands
+    count = 0
+    for start in range(w.strands):
+        if not seen[start]:
+            count += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = perm[p]
+    return count
 
 
 def self_linking(w: BraidWord) -> int:
@@ -302,14 +280,34 @@ def markov_destabilize(w: BraidWord) -> BraidWord:
     return BraidWord(n - 1, rotated)
 
 
+def simple_word(perm: tuple[int, ...]) -> BraidWord:
+    """The positive permutation braid of ``perm``: any two strands cross at most once.
+
+    Strands are bubbled rightwards into place, the one ending rightmost first.
+    """
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise BraidError(f"not a permutation of 0..{n - 1}: {perm}")
+    at_pos = list(range(n))  # at_pos[q] = strand currently at position q
+    letters: list[int] = []
+    for dest in range(n - 1, -1, -1):
+        for q in range(at_pos.index(perm.index(dest)), dest):
+            at_pos[q], at_pos[q + 1] = at_pos[q + 1], at_pos[q]
+            letters.append(q + 1)
+    w = BraidWord(n, tuple(letters))
+    if underlying_permutation(w) != tuple(perm):
+        raise BraidError("internal error: permutation braid construction failed")
+    return w
+
+
 def half_twist(n: int) -> BraidWord:
-    """The Garside half twist Delta_n = (s1..s_{n-1})(s1..s_{n-2})...(s1)."""
+    """The Garside half twist Delta_n = (s1..s_{n-1})(s1..s_{n-2})...(s1).
+
+    It is the positive permutation braid of the reversal (n-1, ..., 0).
+    """
     if n < 1:
         raise BraidError("strand count must be >= 1")
-    letters: list[int] = []
-    for top in range(n - 1, 0, -1):
-        letters.extend(range(1, top + 1))
-    return BraidWord(n, tuple(letters))
+    return simple_word(tuple(range(n - 1, -1, -1)))
 
 
 def full_twist(n: int) -> BraidWord:

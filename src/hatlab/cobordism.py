@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import HatlabError
 from .braid import (
@@ -59,6 +59,7 @@ from .braid import (
     markov_stabilize,
     parse_braid,
     self_linking,
+    simple_word,
     underlying_permutation,
 )
 
@@ -388,7 +389,7 @@ def comb_pure(w: BraidWord) -> list[tuple[int, ...]]:
     The result is certified against the Garside normal form; a convention
     bug cannot silently corrupt a factorization.
     """
-    if not underlying_permutation(w).is_identity():
+    if underlying_permutation(w) != tuple(range(w.strands)):
         raise BraidError("comb_pure needs a pure braid word")
     factors = _comb(w.strands, list(free_reduce(w).letters))
     produced = BraidWord(w.strands, tuple(g for f in factors for g in f))
@@ -450,9 +451,9 @@ def to_torus_script(w: BraidWord) -> MoveScript:
 
     factors = comb_pure(BraidWord(n, inverse(beta0).letters + cur.letters))
 
+    # Not checked here: comb_pure certified the factors against beta0^-1 cur,
+    # and run_script below certifies this RewriteEqual step.
     stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
-    if not equal(cur, stage1):
-        raise BraidError("internal error: factored form not equal to input")
     moves.append(RewriteEqual(stage1))
 
     # Work right to left so earlier offsets survive the insertions.
@@ -485,39 +486,23 @@ def _aligning_conjugator(w: BraidWord, beta0: BraidWord) -> BraidWord:
     n = w.strands
     pw = underlying_permutation(w)
     p0 = underlying_permutation(beta0)
-    if pw.images == p0.images:
+    if pw == p0:
         return BraidWord(n)
-    cyc_w = pw.cycles()[0]
-    cyc_0 = p0.cycles()[0]
-    if len(cyc_w) != n or len(cyc_0) != n:
-        raise BraidError("not an n-cycle")
+    cycles = []
+    for p in (pw, p0):
+        cyc = [0]
+        while p[cyc[-1]] != 0:
+            cyc.append(p[cyc[-1]])
+        if len(cyc) != n:
+            raise BraidError("not an n-cycle")
+        cycles.append(cyc)
     # rho maps the w-cycle onto the beta0-cycle pointwise.
     rho = [0] * n
-    for a, b in zip(cyc_w, cyc_0):
-        rho[a - 1] = b
-    c = _permutation_braid_word(n, rho)
-    got = underlying_permutation(conjugate(w, c))
-    if got.images != p0.images:
+    for a, b in zip(*cycles):
+        rho[a] = b
+    c = simple_word(tuple(rho))
+    if underlying_permutation(conjugate(w, c)) != p0:
         c = inverse(c)
-        got = underlying_permutation(conjugate(w, c))
-        if got.images != p0.images:
+        if underlying_permutation(conjugate(w, c)) != p0:
             raise BraidError("internal error: conjugator alignment failed")
     return c
-
-
-def _permutation_braid_word(n: int, images: Sequence[int]) -> BraidWord:
-    """The positive permutation-braid word realizing the given images."""
-    target = list(images)
-    state = list(range(1, n + 1))
-    letters: list[int] = []
-    # Bubble the strand ending at each position into place, rightmost first.
-    for dest in range(n, 0, -1):
-        src = state.index(next(s for s in range(1, n + 1) if target[s - 1] == dest)) + 1
-        for q in range(src, dest):
-            state[q - 1], state[q] = state[q], state[q - 1]
-            letters.append(q)
-    w = BraidWord(n, tuple(letters))
-    got = underlying_permutation(w).images
-    if list(got) != list(images):
-        raise BraidError("internal error: permutation braid construction failed")
-    return w

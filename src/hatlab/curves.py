@@ -57,13 +57,8 @@ class CurveClass:
         return f"({self.a}; {', '.join(map(str, self.b)) or '-'})"
 
 
-def adjunction_rational(p: int, c: CurveClass) -> bool:
-    """Adjunction for a rational curve with T(p,p+1) and T(2,3) cusps."""
-    return adjunction_at_genus(p, c, 0)
-
-
 def adjunction_at_genus(p: int, c: CurveClass, genus: int) -> bool:
-    """Same constraint for a genus-g curve with the same two cusps."""
+    """Adjunction for a genus-g curve with T(p,p+1) and T(2,3) cusps."""
     if p < 2:
         raise SearchError("need p >= 2")
     if genus < 0:

@@ -96,3 +96,28 @@ def artin_images(w: BraidWord) -> tuple[tuple[int, ...], ...]:
 def artin_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Braid equality decided by Artin's action on the free group."""
     return artin_images(w1) == artin_images(w2)
+
+
+def closure_orbits(w: BraidWord) -> int:
+    """Components of the closure of w, counted without a permutation tuple.
+
+    Each strand is followed letter by letter from its start position; its
+    start and end positions are then joined in a union-find forest, whose
+    roots are the components.
+    """
+    parent = list(range(w.strands))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for start in range(w.strands):
+        pos = start + 1  # 1-based, as the letters count positions
+        for g in w.letters:
+            if pos == abs(g):
+                pos += 1
+            elif pos == abs(g) + 1:
+                pos -= 1
+        parent[root(start)] = root(pos - 1)
+    return sum(1 for x in range(w.strands) if root(x) == x)

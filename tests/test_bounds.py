@@ -6,7 +6,7 @@ from importlib import resources
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hatlab.bounds import (
     BoundsError,
@@ -14,7 +14,6 @@ from hatlab.bounds import (
     hat_genus_at_degree,
     load_witnesses,
     milnor_genus,
-    min_hat_degree,
     negbraid_hat_genus,
     negative_torus_max_slk,
     plane_curve_genus,
@@ -68,7 +67,11 @@ def test_torus_hat_genus_identity():
 
 def test_degree_genus_inverse_relation():
     for slk in range(-9, 20, 2):
-        for d in range(min_hat_degree(slk), min_hat_degree(slk) + 8):
+        # the least degree with (d-1)(d-2)/2 >= (slk+1)/2, i.e. a genus >= 0
+        d0 = triangular_lb(max(0, (slk + 1) // 2))[1]
+        with pytest.raises(BoundsError):
+            hat_genus_at_degree(slk, d0 - 1)
+        for d in range(d0, d0 + 8):
             g = hat_genus_at_degree(slk, d)
             assert slk_from_hat(d, g) == slk
 
@@ -245,4 +248,41 @@ def test_recorded_exclusions_and_open_flags():
     assert excl["p"] == 6
     assert excl["class"] == {"a": 9, "b": [3, 3, 3, 3]}
     assert excl["source"]
-    assert db.open_flags
+    payload = json.loads(
+        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
+    )
+    assert payload["open_flags"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**40))
+@example(10**14)
+@example(10**30 + 7)
+@example(10**40)
+def test_least_degree_property(g):
+    m, d, lb = triangular_lb(g)
+    assert (d - 2) * (d - 3) // 2 < g <= (d - 1) * (d - 2) // 2
+    assert m == (d - 1) * (d - 2) // 2 and lb == m - g
+
+
+def test_t2_lower_bound_is_the_triangular_bound_unless_upgraded():
+    ups = load_witnesses().t2_lower_upgrades
+    for k in range(1, 300):
+        tri = triangular_lb(k)[2]  # T(2,2k+1) is quasipositive of slice genus k
+        assert t2_lower_bound(k) == (max(tri, ups[k][0]) if k in ups else tri)
+
+
+def test_bounds_report_degree_lb_is_the_least_feasible_degree():
+    for slk in range(-61, 200, 2):
+        for g_s in [None] + list(range(0, 40)):
+            if g_s is None and slk >= -1:
+                g_s = slice_genus_qp(slk)
+            rep = bounds_report(slk, g_s)
+            d = triangular_lb(g_s)[1] if g_s is not None else 1
+            while (d * d - 3 * d + 2) < slk + 1:
+                d += 1
+            assert rep.degree_lb == d
+            assert rep.genus_lb == (triangular_lb(g_s)[2] if g_s is not None
+                                    else -(slk + 1) // 2)
+            for deg, genus in rep.genus_by_degree.items():
+                assert slk_from_hat(deg, genus) == slk

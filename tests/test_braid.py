@@ -1,5 +1,6 @@
 """Braid words, invariants, and the word-problem decision procedure."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hatlab import braid
 from hatlab.braid import (
     BraidError,
     BraidWord,
+    NormalForm,
     braid_text,
     closure_components,
     conjugate,
@@ -25,9 +27,10 @@ from hatlab.braid import (
     normal_form,
     parse_braid,
     self_linking,
+    simple_word,
     underlying_permutation,
 )
-from oracles import artin_equal
+from oracles import artin_equal, closure_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +110,56 @@ def test_exponent_sum_examples():
 
 
 def test_permutation_examples():
-    p = underlying_permutation(parse_braid("xy", 3))
-    assert sorted(map(len, p.cycles())) == [3]
+    # the strand starting at 0 ends at 2, the others move one place left: a 3-cycle
+    assert underlying_permutation(parse_braid("xy", 3)) == (2, 0, 1)
     assert closure_components(parse_braid("xy", 3)) == 1
     assert closure_components(identity(3)) == 3
-    assert underlying_permutation(identity(3)).is_identity()
+    assert underlying_permutation(identity(3)) == (0, 1, 2)
     assert closure_components(parse_braid("xy^2x^2y^7", 3)) == 1
+
+
+def test_closure_components_against_orbit_oracle():
+    rng = random.Random(29)
+    counts = set()
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        w = _mixed_word(rng, n, rng.randint(0, 24))
+        counts.add(closure_components(w))
+        assert closure_components(w) == closure_orbits(w), w
+    assert counts == set(range(1, 10))
+
+
+def _sample_permutations():
+    # every permutation for n <= 5, then seeded ones up to n = 9
+    for n in range(1, 6):
+        yield from itertools.permutations(range(n))
+    rng = random.Random(5)
+    for n in range(6, 10):
+        for _ in range(60):
+            yield tuple(rng.sample(range(n), n))
+
+
+def test_simple_word_realizes_its_permutation():
+    for p in _sample_permutations():
+        w = simple_word(p)
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        assert underlying_permutation(w) == p
+        # positive, and each pair of strands crosses at most once
+        assert all(g > 0 for g in w.letters) and len(w) == inversions
+
+
+def test_simple_word_is_one_normal_form_factor():
+    for p in _sample_permutations():
+        n = len(p)
+        if p in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
+            continue
+        assert normal_form(simple_word(p)) == NormalForm(n, 0, (p,))
+
+
+def test_simple_word_rejects_non_permutations():
+    for bad in [(0, 0), (1, 2), (0, 2, 1, 4)]:
+        with pytest.raises(BraidError):
+            simple_word(bad)
 
 
 def test_self_linking_examples():
@@ -379,6 +426,14 @@ def test_stabilization_slk():
 # ---------------------------------------------------------------------------
 # half twist and full twist
 # ---------------------------------------------------------------------------
+
+def test_half_twist_is_the_simple_word_of_the_reversal():
+    for n in range(1, 12):
+        reversal = tuple(range(n - 1, -1, -1))
+        spelled = tuple(i for top in range(n - 1, 0, -1) for i in range(1, top + 1))
+        assert half_twist(n) == simple_word(reversal) == BraidWord(n, spelled)
+        assert normal_form(half_twist(n)) == NormalForm(n, 1 if n > 1 else 0, ())
+
 
 def test_half_twist_squares_to_full_twist():
     for n in range(2, 7):

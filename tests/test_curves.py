@@ -9,7 +9,6 @@ from hatlab.curves import (
     CurveClass,
     SearchError,
     adjunction_at_genus,
-    adjunction_rational,
     class_genus,
     gromov_constraints,
     ohta_ono_filter,
@@ -34,9 +33,9 @@ def test_curve_class_rejects_negatives():
 
 
 def test_adjunction_examples():
-    assert adjunction_rational(6, CurveClass(9, (3, 3, 3, 3)))
-    assert not adjunction_rational(2, CurveClass(0))
-    assert not adjunction_rational(4, CurveClass(10, (8,)))
+    assert adjunction_at_genus(6, CurveClass(9, (3, 3, 3, 3)), 0)
+    assert not adjunction_at_genus(2, CurveClass(0), 0)
+    assert not adjunction_at_genus(4, CurveClass(10, (8,)), 0)
     assert adjunction_at_genus(4, CurveClass(10, (8,)), 1)
 
 
@@ -115,7 +114,7 @@ def test_search_k7_case():
 def test_search_solutions_reverify():
     rep = search(5, 3, 0, 14, genus=0)
     for s in rep.solutions:
-        assert adjunction_rational(5, s.cls)
+        assert adjunction_at_genus(5, s.cls, 0)
         assert gromov_constraints(5, s.cls) == s.gromov
         assert ohta_ono_filter(5, s.cls) == s.ohta_ono
 

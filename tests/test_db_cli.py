@@ -63,6 +63,26 @@ def test_bounds(capsys):
     assert "genus_at_degree_6\t5" in out
 
 
+def test_bounds_without_slice_genus_below_minus_one(capsys):
+    rc, out = run_cli(capsys, "bounds", "--slk", "-7")
+    assert rc == 0
+    assert out == (
+        "slk\t-7\nslice_genus\t?\ndegree_lb\t1\ngenus_lb\t3\n"
+        "genus_at_degree_1\t3\ngenus_at_degree_2\t3\ngenus_at_degree_3\t4\n"
+        "genus_at_degree_4\t6\ngenus_at_degree_5\t9\ngenus_at_degree_6\t13\n"
+    )
+
+
+def test_bounds_with_given_slice_genus(capsys):
+    rc, out = run_cli(capsys, "bounds", "--slk", "9", "--slice-genus", "6")
+    assert rc == 0
+    assert out == (
+        "slk\t9\nslice_genus\t6\ndegree_lb\t5\ngenus_lb\t0\n"
+        "genus_at_degree_5\t1\ngenus_at_degree_6\t5\ngenus_at_degree_7\t10\n"
+        "genus_at_degree_8\t16\ngenus_at_degree_9\t23\ngenus_at_degree_10\t31\n"
+    )
+
+
 def test_t2_table_layout(capsys):
     rc, out = run_cli(capsys, "t2-table", "--kmax", "11")
     assert rc == 0
