@@ -166,7 +166,7 @@ class WitnessDB:
 def load_witnesses() -> WitnessDB:
     """Parse and check ``data/witnesses.json`` once; callers share the result."""
     payload = json.loads(
-        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
+        resources.files("hatlab").joinpath("data", "witnesses.json").read_text(encoding="utf-8")
     )
     t2 = {}
     for row in payload["t2_witnesses"]:
@@ -217,7 +217,6 @@ class T2Row:
     k: int
     lower_bound: int
     witness_genus: Optional[int]
-    witness: Optional[Witness]
 
     @property
     def value(self) -> Optional[int]:
@@ -237,7 +236,7 @@ def t2_table(k_max: int) -> list[T2Row]:
         w = db.t2_witnesses.get(k)
         if w is not None and w.genus < lb:
             raise BoundsError(f"k={k}: witness genus {w.genus} below bound {lb}")
-        rows.append(T2Row(k, lb, w.genus if w else None, w))
+        rows.append(T2Row(k, lb, w.genus if w else None))
     return rows
 
 

@@ -202,8 +202,6 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
     kinds = Counter(map(type, script.moves))
     ledger = CobordismLedger(kinds[CrossingChange], kinds[InsertPositive],
                              script.moves.count(MarkovStabilize(-1)))
-    if closure_components(w) == 1:
-        ledger.slk_start = self_linking(w)
     ledger.component_trace.append(closure_components(w))
     for step, move in enumerate(script.moves):
         try:
@@ -211,7 +209,9 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({move!r}): {e}") from e
         ledger.component_trace.append(closure_components(w))
-    if closure_components(w) == 1:
+    if ledger.component_trace[0] == 1:
+        ledger.slk_start = self_linking(script.start)
+    if ledger.component_trace[-1] == 1:
         ledger.slk_end = self_linking(w)
     if script.declared_end is not None:
         if script.declared_end.strands != w.strands:
@@ -431,12 +431,13 @@ def _comb(n: int, letters: list[int]) -> list[tuple[int, ...]]:
 def to_torus_script(w: BraidWord) -> MoveScript:
     """Build a certified script from a knot braid to a positive torus braid.
 
-    The output rewrites ``w`` (after a conjugation aligning its permutation
-    with the cycle of ``beta0 = s1 s2 ... s_{n-1}``) into ``beta0`` times an
-    explicit product of conjugated squares, cancels the negative squares by
-    inserting their positive mates, grows every positive square into the
-    literal full twist ``(s1 ... s_{n-1})^n`` letter by letter, and ends at
-    ``beta0 * Delta^{2m}``, whose closure is the torus knot T(n, mn+1).
+    The output conjugates ``w`` by one positive permutation braid, which
+    aligns its permutation with the cycle of ``beta0 = s1 s2 ... s_{n-1}``,
+    rewrites the result into ``beta0`` times an explicit product of
+    conjugated squares, cancels the negative squares by inserting their
+    positive mates, grows every positive square into the literal full twist
+    ``(s1 ... s_{n-1})^n`` letter by letter, and ends at ``beta0 *
+    Delta^{2m}``, whose closure is the torus knot T(n, mn+1).
     """
     if closure_components(w) != 1:
         raise BraidError("torus scripts need a knot closure")
@@ -444,7 +445,7 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     beta0 = BraidWord(n, tuple(range(1, n)))
     moves: list[Move] = []
     cur = w
-    c = _aligning_conjugator(w, beta0)
+    c = _aligning_conjugator(w)
     if c.letters:
         moves.append(Conjugate(c))
         cur = conjugate(cur, c)
@@ -481,28 +482,19 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     return script
 
 
-def _aligning_conjugator(w: BraidWord, beta0: BraidWord) -> BraidWord:
-    """A braid word c with perm(c w c^-1) == perm(beta0)."""
+def _aligning_conjugator(w: BraidWord) -> BraidWord:
+    """A positive permutation braid c with perm(c w c^-1) == perm(s1 ... s_{n-1}).
+
+    perm(c w c^-1) applies perm(c), then perm(w), then perm(c)^-1, so it is
+    perm(beta0) exactly when perm(c) carries the cycle of beta0 through 0,
+    which is 0, n-1, ..., 1, point by point onto the cycle of w through 0.
+    ``w`` must close to a knot.
+    """
     n = w.strands
     pw = underlying_permutation(w)
-    p0 = underlying_permutation(beta0)
-    if pw == p0:
-        return BraidWord(n)
-    cycles = []
-    for p in (pw, p0):
-        cyc = [0]
-        while p[cyc[-1]] != 0:
-            cyc.append(p[cyc[-1]])
-        if len(cyc) != n:
-            raise BraidError("not an n-cycle")
-        cycles.append(cyc)
-    # rho maps the w-cycle onto the beta0-cycle pointwise.
-    rho = [0] * n
-    for a, b in zip(*cycles):
-        rho[a] = b
-    c = simple_word(tuple(rho))
-    if underlying_permutation(conjugate(w, c)) != p0:
-        c = inverse(c)
-        if underlying_permutation(conjugate(w, c)) != p0:
-            raise BraidError("internal error: conjugator alignment failed")
-    return c
+    sigma = [0] * n
+    a = 0
+    for k in range(n):
+        sigma[-k % n] = a
+        a = pw[a]
+    return simple_word(tuple(sigma))

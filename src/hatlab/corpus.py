@@ -55,7 +55,8 @@ class CorpusReport:
 
 
 def load_script(ref: str) -> MoveScript:
-    return parse_script(resources.files("hatlab").joinpath("data", "scripts", ref).read_text())
+    path = resources.files("hatlab").joinpath("data", "scripts", ref)
+    return parse_script(path.read_text(encoding="utf-8"))
 
 
 def replay_record(rec: KnotRecord) -> ScriptResult:

@@ -1,21 +1,26 @@
 """The rewriting DSL: moves, ledger accounting, script files, torus scripts."""
 
+import itertools
+import math
 import random
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hatlab import braid
 from hatlab.braid import (
     BraidWord,
     braid_text,
     closure_components,
+    conjugate,
     equal,
     exponent_sum,
     full_twist,
     identity,
     parse_braid,
     self_linking,
+    simple_word,
     underlying_permutation,
 )
 from hatlab.cobordism import (
@@ -28,6 +33,7 @@ from hatlab.cobordism import (
     MoveScript,
     RewriteEqual,
     ScriptError,
+    _aligning_conjugator,
     apply_move,
     comb_pure,
     parse_script,
@@ -400,9 +406,12 @@ def test_positive_square_grows_into_the_literal_full_twist(n):
     ("XYXxYy", 3, 0, 4, 6),
     ("xY^3XY", 3, 1, 12, 15),
     ("yYzXY", 4, 1, 16, 19),
-    ("YXzYX^2Z^2y", 4, 3, 44, 47),
-    ("WXzwYZxX", 5, 2, 46, 49),
+    ("YXzYX^2Z^2y", 4, 1, 20, 23),
+    ("WXzwYZxX", 5, 1, 26, 29),
     ("xs5WZy", 6, 3, 94, 97),
+    ("wYxS5z", 6, 3, 94, 97),
+    ("S6yxzs5W", 7, 4, 172, 175),
+    ("xzyws6s7s5", 8, 7, 392, 395),
 ])
 def test_to_torus_script_pinned(text, n, m, bands, moves):
     script = to_torus_script(parse_braid(text, n))
@@ -410,3 +419,56 @@ def test_to_torus_script_pinned(text, n, m, bands, moves):
     assert end == script.declared_end
     assert end.letters == tuple(range(1, n)) + full_twist(n).letters * m
     assert (ledger.bands, ledger.genus, len(script.moves)) == (bands, bands // 2, moves)
+
+
+# Seeded knot braids of the least length n - 1, twelve per n, and the full
+# twists m of each torus script's end word; the sums are 32, 42 and 52.
+_MINIMAL_KNOTS = {
+    6: ("wYxS5z xwys5Z S5xWZY xzS5Wy ys5xzw S5XyWZ "
+        "XZs5WY zS5xwy S5WyZX s5YXwz S5xwzy xS5zYW",
+        (3, 4, 1, 3, 5, 1, 1, 4, 1, 3, 4, 2)),
+    7: ("S6yxzs5W WzXS6yS5 S5wS6Zyx s6XZyws5 yWzXS5S6 xzws6YS5 "
+        "S6zs5wyx s6WXyZS5 wS6zxs5Y S5wxzs6y s6Ywxs5Z yZXs6s5W",
+        (4, 2, 3, 4, 2, 4, 5, 2, 4, 5, 4, 3)),
+    8: ("xzyws6s7s5 Wzs5YXS6S7 S7zYxws6S5 ys7Zs5ws6x Ws5ZxS6ys7 S6ZS7WXs5y "
+        "Ys7s6zs5Xw yS7zS5Wxs6 Ws6zs5s7Xy s5S7Wzs6xy s6zyXs5Ws7 xwZS5S6s7Y",
+        (7, 2, 4, 6, 4, 2, 5, 4, 5, 5, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_MINIMAL_KNOTS))
+def test_to_torus_script_m_on_minimal_knot_braids(n):
+    texts, ms = _MINIMAL_KNOTS[n]
+    ends = [to_torus_script(parse_braid(t, n)).declared_end for t in texts.split()]
+    assert [(len(e.letters) - (n - 1)) // (n * (n - 1)) for e in ends] == list(ms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aligning_conjugator_is_a_positive_permutation_braid(n):
+    beta0 = underlying_permutation(BraidWord(n, tuple(range(1, n))))
+    cycles = 0
+    for perm in itertools.permutations(range(n)):
+        orbit, p = 1, perm[0]
+        while p != 0:
+            orbit, p = orbit + 1, perm[p]
+        if orbit != n:
+            continue
+        cycles += 1
+        w = simple_word(perm)
+        c = _aligning_conjugator(w)
+        pc = underlying_permutation(c)
+        crossings = sum(pc[i] > pc[j] for i, j in itertools.combinations(range(n), 2))
+        assert all(g > 0 for g in c.letters) and len(c.letters) == crossings, perm
+        assert underlying_permutation(conjugate(w, c)) == beta0, perm
+    assert cycles == math.factorial(n - 1)
+
+
+def test_run_script_takes_each_words_permutation_once(monkeypatch):
+    calls = []
+    real = braid.underlying_permutation
+    monkeypatch.setattr(braid, "underlying_permutation", lambda w: calls.append(w) or real(w))
+    script = parse_script(SCRIPTS.joinpath("m8_20.txt").read_text(encoding="utf-8"))
+    run_script(script)
+    # One per word of the component trace (start, then after each of the 4
+    # moves), and self_linking's own knot check at the start and the end.
+    assert len(calls) == 5 + 2

@@ -252,6 +252,21 @@ def test_each_command_imports_only_its_modules(argv, modules):
     assert loaded == {"hatlab.cli"} | {f"hatlab.{m}" for m in modules}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-corpus"],
+    ["reproduce", "cover-books"],
+    ["t2-table", "--kmax", "3"],
+])
+def test_commands_read_package_data_as_utf8(argv):
+    # A text read in the locale's encoding raises EncodingWarning, an error here.
+    env = {k: v for k, v in os.environ.items() if k not in ("HATLAB_DB", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hatlab.__file__))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "hatlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 # One valid record of the database; the cases below spoil copies of it.
 _RECORD = {"name": "m(8_20)", "strands": 3, "braid": "x^3yX^3y", "slice_genus": 0,
            "determinant_one": False, "script": None, "target": None, "note": ""}
