@@ -22,7 +22,12 @@ A search can emit a quarter of a million classes, so the objects are kept
 small: every class and annotation is a slotted dataclass, and the five
 positivity booleans are shared, one :class:`GromovDetail` per combination.
 The enumeration walks one shared prefix list and emits the solutions
-already in output order; nothing is sorted afterwards.
+already in output order; nothing is sorted afterwards.  Its last level
+tests each leaf ``b_N(b_N - 1) == budget`` in a loop rather than one call
+per leaf.  Each emitted class is annotated in one pass: its coefficients
+are summed once (``sum b_i`` and ``sum b_i^2``) for adjunction and the cap,
+and the positivity flags sort only the five largest entries with the two
+sentinels.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from operator import mul
 
 from . import HatlabError
 
@@ -44,14 +50,15 @@ class CurveClass:
     b: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.a < 0 or min(self.b, default=0) < 0:
+        b = tuple(sorted(self.b, reverse=True))
+        if self.a < 0 or (b and b[-1] < 0):
             raise SearchError("coefficients must be non-negative")
-        if list(self.b) != sorted(self.b, reverse=True):
-            object.__setattr__(self, "b", tuple(sorted(self.b, reverse=True)))
+        if b != self.b:
+            object.__setattr__(self, "b", b)
 
     @property
     def self_intersection(self) -> int:
-        return self.a * self.a - sum(x * x for x in self.b)
+        return self.a * self.a - sum(map(mul, self.b, self.b))
 
     def __str__(self) -> str:
         return f"({self.a}; {', '.join(map(str, self.b)) or '-'})"
@@ -63,18 +70,7 @@ def adjunction_at_genus(p: int, c: CurveClass, genus: int) -> bool:
         raise SearchError("need p >= 2")
     if genus < 0:
         raise SearchError("genus must be >= 0")
-    lhs = c.a * c.a - sum(x * x for x in c.b)
-    rhs = p * p - p + (3 * c.a - sum(c.b)) + 2 * genus
-    return lhs == rhs
-
-
-def class_genus(c: CurveClass, sing_genus_sum: int) -> int:
-    """Smooth genus of a curve in class c whose cusps contribute the given genus."""
-    return (
-        (c.a - 1) * (c.a - 2) // 2
-        - sum(x * (x - 1) // 2 for x in c.b)
-        - sing_genus_sum
-    )
+    return c.self_intersection == p * p - p + (3 * c.a - sum(c.b)) + 2 * genus
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,15 +97,23 @@ def gromov_constraints(p: int, c: CurveClass) -> GromovDetail:
     """
     if p < 2:
         raise SearchError("need p >= 2")
-    a = c.a
-    b = list(c.b) + [0] * max(0, 5 - len(c.b))
-    ext = sorted(list(c.b) + [p, 2], reverse=True) + [0] * 5
+    return _gromov(p, c.a, c.b)
+
+
+_ZEROS = (0,) * 5
+
+
+def _gromov(p: int, a: int, b: tuple[int, ...]) -> GromovDetail:
+    # b is non-increasing, so the five largest of b plus the sentinels are
+    # among its first five entries (zero-padded) and p, 2
+    b0, b1, b2, b3, b4 = (b[:5] + _ZEROS)[:5]
+    e0, e1, e2, e3, e4, _, _ = sorted((b0, b1, b2, b3, b4, p, 2), reverse=True)
     return _shared_detail(
-        a >= b[0] + p,                                   # line_with_cusp
-        a >= b[0] + b[1],                                # line_two_points
-        2 * a >= b[0] + b[1] + b[2] + b[3] + p,          # conic_with_cusp
-        2 * a >= sum(b[:5]),                             # conic_five_points
-        (a >= ext[0] + ext[1]) and (2 * a >= sum(ext[:5])),  # all_permuted
+        a >= b0 + p,                                          # line_with_cusp
+        a >= b0 + b1,                                         # line_two_points
+        2 * a >= b0 + b1 + b2 + b3 + p,                       # conic_with_cusp
+        2 * a >= b0 + b1 + b2 + b3 + b4,                      # conic_five_points
+        a >= e0 + e1 and 2 * a >= e0 + e1 + e2 + e3 + e4,     # all_permuted
     )
 
 
@@ -167,20 +171,33 @@ def _descending_tuples(n: int, hi: int, budget: int, prefix: list[int],
     [0, hi] and sum of b*(b-1) equal to the budget, each after ``prefix``.
 
     Tuples come out lexicographically descending.  Every call is one node
-    of the enumeration and adds one to ``visited[0]``; the node that takes
-    the count past ``cap`` raises.
+    of the enumeration and adds one to ``visited[0]``, and so does every
+    leaf (a full tuple) tested in the last level's loop; the node that
+    takes the count past ``cap`` raises.
     """
     visited[0] += 1
     if visited[0] > cap:
-        raise SearchError(f"enumeration exceeds cap: more than {cap} nodes visited")
+        raise _over_cap(cap)
     if n == 0:
         if budget == 0:
             out.append(tuple(prefix))
         return
-    # start at the largest entry with first*(first-1) <= budget; entries
-    # below are at most `first`, so the most this level can still consume
-    # is n * first*(first-1)
-    for first in range(min(hi, (1 + isqrt(1 + 4 * budget)) // 2), -1, -1):
+    # start at the largest entry with first*(first-1) <= budget
+    top = min(hi, (1 + isqrt(1 + 4 * budget)) // 2)
+    if n == 1:
+        # entries only shrink from here, so once one misses the budget
+        # every later one does too
+        for first in range(top, -1, -1):
+            if first * (first - 1) != budget:
+                break
+            visited[0] += 1
+            if visited[0] > cap:
+                raise _over_cap(cap)
+            out.append((*prefix, first))
+        return
+    # entries below are at most `first`, so the most this level can still
+    # consume is n * first*(first-1)
+    for first in range(top, -1, -1):
         w = first * (first - 1)
         rest = budget - w
         if rest > (n - 1) * w:
@@ -188,6 +205,10 @@ def _descending_tuples(n: int, hi: int, budget: int, prefix: list[int],
         prefix.append(first)
         _descending_tuples(n - 1, first, rest, prefix, out, visited, cap)
         prefix.pop()
+
+
+def _over_cap(cap: int) -> SearchError:
+    return SearchError(f"enumeration exceeds cap: more than {cap} nodes visited")
 
 
 def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
@@ -208,46 +229,23 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
         raise SearchError("need p >= 2")
     if blowups < 0 or genus < 0 or a_min < 0 or a_max < a_min:
         raise SearchError("bad search parameters")
+    # adjunction reads a^2 - sum(b_i^2) == cusps + 3a - sum(b_i)
+    cusps = p * p - p + 2 * genus
+    self_int_cap = p * p + 9
     visited = [0]
     found: list[Annotated] = []
     for a in range(a_min, a_max + 1):
-        budget = a * a - 3 * a - (p * p - p) - 2 * genus
+        budget = a * a - 3 * a - cusps
         if budget < 0:
             continue
         tuples: list[tuple[int, ...]] = []
         _descending_tuples(blowups, a, budget, [], tuples, visited, cap)
         for b in tuples:
-            cls = CurveClass(a, b)
-            assert adjunction_at_genus(p, cls, genus)
-            found.append(
-                Annotated(cls, gromov_constraints(p, cls), ohta_ono_filter(p, cls))
-            )
+            self_int = a * a - sum(map(mul, b, b))
+            if self_int != cusps + 3 * a - sum(b):
+                raise SearchError(
+                    f"internal error: class {CurveClass(a, b)} breaks adjunction"
+                    f" at p={p}, genus={genus}")
+            found.append(Annotated(CurveClass(a, b), _gromov(p, a, b),
+                                   self_int <= self_int_cap))
     return SearchReport(p, blowups, genus, a_min, a_max, tuple(found), visited[0])
-
-
-@dataclass(frozen=True)
-class TriangularDifferences:
-    g: int
-    pairs: tuple[tuple[int, int], ...]
-    self_pairs: bool = False  # g = 0: every (m, m) works; list is truncated
-
-
-def triangular_difference(g: int) -> TriangularDifferences:
-    """All ways to write g as a difference of triangular numbers.
-
-    Consecutive triangular numbers t(t+1)/2 differ by t+1, so any solution
-    with larger index t has t <= g; the enumeration below is complete.
-    """
-    if g < 0:
-        raise SearchError("need g >= 0")
-    tri = lambda t: t * (t + 1) // 2
-    if g == 0:
-        return TriangularDifferences(
-            0, tuple((tri(t), tri(t)) for t in range(5)), self_pairs=True
-        )
-    pairs = []
-    for t in range(1, g + 1):
-        for s in range(t):
-            if tri(t) - tri(s) == g:
-                pairs.append((tri(t), tri(s)))
-    return TriangularDifferences(g, tuple(sorted(pairs)))

@@ -25,6 +25,34 @@ def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
     return sorted(out, key=lambda c: (c.a, tuple(-x for x in c.b)))
 
 
+def class_genus(c: CurveClass, sing_genus_sum: int) -> int:
+    """Smooth genus of a curve in class c whose cusps contribute the given genus."""
+    return (
+        (c.a - 1) * (c.a - 2) // 2
+        - sum(x * (x - 1) // 2 for x in c.b)
+        - sing_genus_sum
+    )
+
+
+def gromov_flags(p: int, c: CurveClass) -> tuple[bool, bool, bool, bool, bool]:
+    """The five positivity flags of ``curves.GromovDetail``, from the formulas.
+
+    The coefficients are padded with zeros to five entries; for the permuted
+    check the sentinels p and 2 are appended to all of them and the whole
+    list is sorted again.
+    """
+    a = c.a
+    b = list(c.b) + [0] * max(0, 5 - len(c.b))
+    ext = sorted(list(c.b) + [p, 2], reverse=True) + [0] * 5
+    return (
+        a >= b[0] + p,
+        a >= b[0] + b[1],
+        2 * a >= b[0] + b[1] + b[2] + b[3] + p,
+        2 * a >= sum(b[:5]),
+        (a >= ext[0] + ext[1]) and (2 * a >= sum(ext[:5])),
+    )
+
+
 def count_solutions(p: int, blowups: int, a_min: int, a_max: int,
                     genus: int = 0) -> int:
     """Number of adjunction solutions in range, counted without listing them.

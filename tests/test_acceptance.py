@@ -30,7 +30,7 @@ from hatlab.bounds import (
 )
 from hatlab.corpus import verify_corpus
 from hatlab.covers import cy_cover_test, double_cover_books
-from hatlab.curves import CurveClass, search, triangular_difference
+from hatlab.curves import CurveClass, search
 from hatlab.db import load_db
 from oracles import brute_force_solutions, semigroup_elements
 
@@ -232,11 +232,6 @@ def test_criterion_8_offline_property_suites():
         for q in range(p + 1, 21):
             if gcd(p, q) == 1:
                 assert semigroup_lb(p, q) == semigroup_elements(p, q, p * q)[2]
-    tri = [t * (t + 1) // 2 for t in range(0, 40)]
-    for g in range(1, 20):
-        expect = sorted((tri[i], tri[j]) for i in range(len(tri))
-                        for j in range(i) if tri[i] - tri[j] == g)
-        assert list(triangular_difference(g).pairs) == expect
 
     # facts that are recorded rather than recomputed stay provenance-tagged
     from hatlab.bounds import load_witnesses

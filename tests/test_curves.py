@@ -1,21 +1,21 @@
 """Curve-class enumeration: adjunction, positivity filters, searches."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hatlab import curves
 from hatlab.curves import (
     CurveClass,
     SearchError,
     adjunction_at_genus,
-    class_genus,
     gromov_constraints,
     ohta_ono_filter,
     search,
-    triangular_difference,
 )
-from oracles import brute_force_solutions, count_solutions
+from oracles import brute_force_solutions, class_genus, count_solutions, gromov_flags
 
 
 def test_curve_class_canonical_form():
@@ -111,6 +111,31 @@ def test_search_k7_case():
     assert not [s for s in rep.solutions if s.gromov.passes]
 
 
+def test_search_annotations_match_the_formulas():
+    rep = search(8, 7, 0, 34)
+    assert (len(rep.solutions), len(rep.surviving), rep.nodes) == (35_919, 1_162, 139_312)
+    for s in rep.solutions:
+        c = s.cls
+        assert astuple(s.gromov) == gromov_flags(8, c)
+        self_int = c.a * c.a - sum(x * x for x in c.b)
+        assert c.self_intersection == self_int
+        assert s.ohta_ono == (self_int <= 8 * 8 + 9)
+        assert s.survives == (s.gromov.passes and s.ohta_ono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=24),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=9),
+)
+def test_gromov_constraints_match_the_formulas(p, a, b):
+    # any length, N < 5 included, and entries above p; entries up to half
+    # the largest a keep each sum near its bound 2a
+    c = CurveClass(a, tuple(b))
+    assert astuple(gromov_constraints(p, c)) == gromov_flags(p, c)
+
+
 def test_search_solutions_reverify():
     rep = search(5, 3, 0, 14, genus=0)
     for s in rep.solutions:
@@ -140,6 +165,33 @@ def test_search_order_independence():
 def test_search_cap():
     with pytest.raises(SearchError):
         search(3, 6, 0, 500, genus=0, cap=1000)
+
+
+# Leaves of the last level count as nodes: every cap below the count trips,
+# on an inner node or on a leaf.  The last node of (3,1,0,6) is the leaf
+# (6; 4), so there only the leaf's own check can trip.
+@pytest.mark.parametrize("args, nodes, solutions", [
+    ((5, 3, 0, 14), 103, 29),
+    ((3, 1, 0, 6), 3, 1),
+])
+def test_search_cap_trips_at_every_node(args, nodes, solutions):
+    assert search(*args).nodes == nodes
+    for cap in range(0, nodes + 2):
+        if cap >= nodes:
+            assert len(search(*args, cap=cap).solutions) == solutions
+        else:
+            with pytest.raises(SearchError, match="exceeds cap"):
+                search(*args, cap=cap)
+
+
+def test_search_rejects_a_class_off_the_adjunction_budget(monkeypatch):
+    def off_budget(n, hi, budget, prefix, out, visited, cap):
+        visited[0] += 1
+        out.append((hi - 1,) * n)  # (5, 5): 2 * 20 = 40, not the budget 12
+
+    monkeypatch.setattr(curves, "_descending_tuples", off_budget)
+    with pytest.raises(SearchError, match=r"internal error: class \(6; 5, 5\) breaks adjunction"):
+        search(3, 2, 6, 6)
 
 
 # Each search visits exactly `nodes` enumeration nodes: the cap admits it at
@@ -184,24 +236,6 @@ def test_search_objects_are_compact():
         assert not hasattr(obj, "__dict__")
     # one shared detail per combination of the five booleans
     assert len({id(s.gromov) for s in rep.solutions}) <= 32
-
-
-def test_triangular_difference_examples():
-    assert triangular_difference(4).pairs == ((10, 6),)
-    assert triangular_difference(8).pairs == ((36, 28),)
-    zero = triangular_difference(0)
-    assert zero.self_pairs
-    assert all(a == b for a, b in zero.pairs)
-
-
-def test_triangular_difference_oracle():
-    tri = [t * (t + 1) // 2 for t in range(0, 80)]
-    for g in range(1, 40):
-        expect = sorted(
-            (tri[i], tri[j]) for i in range(len(tri)) for j in range(i)
-            if tri[i] - tri[j] == g
-        )
-        assert list(triangular_difference(g).pairs) == expect
 
 
 @settings(max_examples=120, deadline=None)
