@@ -28,6 +28,12 @@ Normal forms are cached least recently used first, within a budget of
 ``CACHE_LETTERS`` letters of the words they belong to; a longer word is
 never cached.
 
+Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
+letter on construction.  ``_word`` builds a word without that check; only
+code that derives a word from words it was given uses it (the operations
+below and the script moves in ``cobordism``), after checking whatever new
+letter or index it adds.
+
 Conventions: words act on strand positions top to bottom with letters read
 left to right, and the permutation of a word maps the starting position of
 a strand to its ending position.  A permutation has one representation, the
@@ -84,11 +90,15 @@ class BraidWord:
             return NotImplemented
         if other.strands != self.strands:
             raise BraidError("cannot multiply words with different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return _word(self.strands, self.letters + other.letters)
 
 
-def identity(strands: int) -> BraidWord:
-    return BraidWord(strands)
+def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """A word whose letters are already known to be in range: no check."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "strands", strands)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +201,17 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-g for g in reversed(w.letters)))
+    return _word(w.strands, tuple(-g for g in reversed(w.letters)))
 
 
 def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
     """The permutation sending each strand's start position to its end, 0-based."""
-    at_pos = list(range(w.strands))  # at_pos[q] = strand currently at position q
-    for g in w.letters:
-        i = abs(g)
-        at_pos[i - 1], at_pos[i] = at_pos[i], at_pos[i - 1]
+    # at_pos[q + 1] = strand currently at position q, so sigma_i swaps at_pos[i], at_pos[i + 1]
+    at_pos = [0, *range(w.strands)]
+    for i in map(abs, w.letters):
+        at_pos[i], at_pos[i + 1] = at_pos[i + 1], at_pos[i]
     images = [0] * w.strands
-    for q, s in enumerate(at_pos):
+    for q, s in enumerate(at_pos[1:]):
         images[s] = q
     return tuple(images)
 
@@ -235,7 +245,7 @@ def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
     """Return c * w * c^-1."""
     if w.strands != c.strands:
         raise BraidError("conjugation requires equal strand counts")
-    return BraidWord(w.strands, c.letters + w.letters + inverse(c).letters)
+    return _word(w.strands, c.letters + w.letters + inverse(c).letters)
 
 
 def cyclic_permute(w: BraidWord, k: int) -> BraidWord:
@@ -243,7 +253,7 @@ def cyclic_permute(w: BraidWord, k: int) -> BraidWord:
     if not w.letters:
         return w
     k %= len(w.letters)
-    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
+    return _word(w.strands, w.letters[k:] + w.letters[:k])
 
 
 def markov_stabilize(w: BraidWord, sign: int) -> BraidWord:
@@ -255,7 +265,7 @@ def markov_stabilize(w: BraidWord, sign: int) -> BraidWord:
     if sign not in (1, -1):
         raise BraidError("stabilization sign must be +1 or -1")
     n = w.strands
-    return BraidWord(n + 1, w.letters + (sign * n,))
+    return _word(n + 1, w.letters + (sign * n,))
 
 
 def markov_destabilize(w: BraidWord) -> BraidWord:
@@ -277,7 +287,7 @@ def markov_destabilize(w: BraidWord) -> BraidWord:
     if w.letters[j] < 0:
         raise BraidError("destabilization needs the last-strand letter to be positive")
     rotated = w.letters[j + 1:] + w.letters[:j]
-    return BraidWord(n - 1, rotated)
+    return _word(n - 1, rotated)
 
 
 def simple_word(perm: tuple[int, ...]) -> BraidWord:
@@ -474,11 +484,6 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     return normal_form(w1) == normal_form(w2)
 
 
-def is_trivial(w: BraidWord) -> bool:
-    nf = normal_form(w)
-    return nf.power == 0 and not nf.factors
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs; a word-level cleanup, not a normal form."""
     out: list[int] = []
@@ -487,4 +492,4 @@ def free_reduce(w: BraidWord) -> BraidWord:
             out.pop()
         else:
             out.append(g)
-    return BraidWord(w.strands, tuple(out))
+    return _word(w.strands, tuple(out))

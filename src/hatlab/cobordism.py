@@ -10,7 +10,18 @@ genus accounting.
 Moves are applied to the literal letter sequence; nothing is simplified
 implicitly.  A ``RewriteEqual`` step is certified against the Garside
 normal form and replay fails loudly on an uncertifiable step, so a script
-that replays is a proof of every equality it uses.
+that replays is a proof of every equality it uses.  Each identity is
+certified once: ``to_torus_script`` leaves its combing unchecked and lets
+the replay of its first ``eq`` step certify it.
+
+Replay records the closure's component count after every move, which is the
+number of cycles of the word's permutation.  ``conj`` and ``cyc`` conjugate
+the permutation, a certified ``eq`` keeps it, and ``cc`` keeps it because
+sigma_i and its inverse are the same transposition, so these four moves carry
+the previous count forward.  Only ``ins``, ``stab`` and ``destab`` change the
+permutation's cycle type, and replay counts the cycles again after them.
+The self-linking at either end is the exponent sum minus the strands when the
+closure there is a knot.
 
 Script files are line-oriented text::
 
@@ -45,20 +56,23 @@ from typing import Optional, Union
 
 from . import HatlabError
 from .braid import (
+    _LETTERS,
     BraidError,
     BraidWord,
+    _letter_name,
+    _word,
     braid_text,
     closure_components,
     conjugate,
     cyclic_permute,
     equal,
+    exponent_sum,
     free_reduce,
     full_twist,
     inverse,
     markov_destabilize,
     markov_stabilize,
     parse_braid,
-    self_linking,
     simple_word,
     underlying_permutation,
 )
@@ -202,17 +216,19 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
     kinds = Counter(map(type, script.moves))
     ledger = CobordismLedger(kinds[CrossingChange], kinds[InsertPositive],
                              script.moves.count(MarkovStabilize(-1)))
-    ledger.component_trace.append(closure_components(w))
+    trace = ledger.component_trace
+    trace.append(closure_components(w))
     for step, move in enumerate(script.moves):
         try:
             w = apply_move(w, move)
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({move!r}): {e}") from e
-        ledger.component_trace.append(closure_components(w))
-    if ledger.component_trace[0] == 1:
-        ledger.slk_start = self_linking(script.start)
-    if ledger.component_trace[-1] == 1:
-        ledger.slk_end = self_linking(w)
+        trace.append(trace[-1] if type(move) in _KEEPS_CYCLES else closure_components(w))
+    # Self-linking of a knot closure: exponent sum minus strands.
+    if trace[0] == 1:
+        ledger.slk_start = exponent_sum(script.start) - script.start.strands
+    if trace[-1] == 1:
+        ledger.slk_end = exponent_sum(w) - w.strands
     if script.declared_end is not None:
         if script.declared_end.strands != w.strands:
             raise ScriptError(
@@ -242,7 +258,13 @@ def _read_int(token: str, strands: int) -> int:
     return int(token)
 
 
+_GENERATOR_INDEX = {name: i for i, name in enumerate(_LETTERS, 1)}
+
+
 def _read_generator(token: str, strands: int) -> int:
+    i = _GENERATOR_INDEX.get(token)
+    if i is not None and i < strands:
+        return i
     w = parse_braid(token, strands)
     if len(w.letters) != 1 or w.letters[0] < 0:
         raise ScriptError(f"expected a single positive generator, got {token!r}")
@@ -260,7 +282,7 @@ def _read_word(token: str, strands: int) -> BraidWord:
 
 
 _INT = (_read_int, str)
-_GENERATOR = (_read_generator, lambda i: braid_text(BraidWord(i + 1, (i,))))
+_GENERATOR = (_read_generator, lambda i: _letter_name(i, True))
 _WORD = (_read_word, lambda w: braid_text(w) or "1")
 _SIGN = (_read_sign, lambda sign: "+" if sign == 1 else "-")
 
@@ -271,7 +293,7 @@ def _insert(w: BraidWord, move: InsertPositive) -> BraidWord:
     if not (1 <= move.index < w.strands):
         raise ScriptError(f"insert index {move.index} out of range")
     letters = w.letters[:move.position] + (move.index,) + w.letters[move.position:]
-    return BraidWord(w.strands, letters)
+    return _word(w.strands, letters)
 
 
 def _crossing_change(w: BraidWord, move: CrossingChange) -> BraidWord:
@@ -282,9 +304,8 @@ def _crossing_change(w: BraidWord, move: CrossingChange) -> BraidWord:
             f"crossing change expects sigma_{move.index}^-1 at position "
             f"{move.position}, found letter {w.letters[move.position]}"
         )
-    letters = list(w.letters)
-    letters[move.position] = move.index
-    return BraidWord(w.strands, tuple(letters))
+    p = move.position
+    return _word(w.strands, w.letters[:p] + (move.index,) + w.letters[p + 1:])
 
 
 def _rewrite(w: BraidWord, move: RewriteEqual) -> BraidWord:
@@ -307,8 +328,13 @@ _MOVES = {
     "stab": (MarkovStabilize, (_SIGN,), 1, lambda w, move: markov_stabilize(w, move.sign)),
     "destab": (MarkovDestabilize, (), -1, lambda w, move: markov_destabilize(w)),
 }
-_TOKENS = {cls: (token, kinds) for token, (cls, kinds, _, _) in _MOVES.items()}
+# A move's operands as (field name, writer) pairs, in field order.
+_TOKENS = {cls: (token, [(f.name, write) for f, (_, write) in zip(fields(cls), kinds)])
+           for token, (cls, kinds, _, _) in _MOVES.items()}
 _ACTIONS = {cls: action for cls, _, _, action in _MOVES.values()}
+# Moves that keep the permutation's cycle type, so replay carries the
+# closure's component count forward instead of recounting it.
+_KEEPS_CYCLES = {Conjugate, CyclicPermute, RewriteEqual, CrossingChange}
 # Headers in the order they must appear; each appears at most once.
 _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 
@@ -358,9 +384,8 @@ def parse_script(text: str) -> MoveScript:
 def serialize_script(script: MoveScript) -> str:
     lines = [f"strands: {script.start.strands}", f"start: {braid_text(script.start)}"]
     for move in script.moves:
-        token, kinds = _TOKENS[type(move)]
-        operands = [write(getattr(move, f.name)) for f, (_, write) in zip(fields(move), kinds)]
-        lines.append(" ".join([token, *operands]))
+        token, operands = _TOKENS[type(move)]
+        lines.append(" ".join([token, *(write(getattr(move, name)) for name, write in operands)]))
     if script.declared_end is not None:
         lines.append(f"end: {braid_text(script.declared_end)}")
     return "\n".join(lines) + "\n"
@@ -450,10 +475,10 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         moves.append(Conjugate(c))
         cur = conjugate(cur, c)
 
-    factors = comb_pure(BraidWord(n, inverse(beta0).letters + cur.letters))
-
-    # Not checked here: comb_pure certified the factors against beta0^-1 cur,
-    # and run_script below certifies this RewriteEqual step.
+    # cur's permutation is beta0's, so beta0^-1 cur is pure.  The factors are
+    # not checked here: run_script below certifies cur == beta0 * factors in
+    # this RewriteEqual step, the one certification of the combing.
+    factors = _comb(n, list(free_reduce(inverse(beta0) * cur).letters))
     stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
     moves.append(RewriteEqual(stage1))
 

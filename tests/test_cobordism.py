@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hatlab import braid
 from hatlab.braid import (
+    BraidError,
     BraidWord,
     braid_text,
     closure_components,
@@ -17,7 +18,6 @@ from hatlab.braid import (
     equal,
     exponent_sum,
     full_twist,
-    identity,
     parse_braid,
     self_linking,
     simple_word,
@@ -213,6 +213,21 @@ def test_script_round_trip_property(script):
     assert parse_script(serialize_script(script)) == script
 
 
+# Generator operands that do not read, with the exact error each one raises.
+_GENERATOR_ERRORS = [
+    ("strands: 2\nstart: x\nins 0 y\n",
+     "line 3: letter index 2 at column 0 in 'y' is outside 1..1 for 2 strands"),
+    ("strands: 1\nstart: 1\nins 0 x\n",
+     "line 3: letter index 1 at column 0 in 'x' is outside 1..0 for 1 strands"),
+    (HEAD + "cc 1 w\n", "line 3: letter index 4 at column 0 in 'w' is outside 1..2 for 3 strands"),
+    (HEAD + "ins 0 X\n", "line 3: expected a single positive generator, got 'X'"),
+    (HEAD + "ins 0 xy\n", "line 3: expected a single positive generator, got 'xy'"),
+    (HEAD + "ins 0 x^2\n", "line 3: expected a single positive generator, got 'x^2'"),
+    (HEAD + "ins 0 s0\n", "line 3: letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
+    (HEAD + "ins 0 s3\n", "line 3: letter index 3 at column 0 in 's3' is outside 1..2 for 3 strands"),
+]
+
+
 @pytest.mark.parametrize("text, lineno", [
     (HEAD + "stab q\n", 3),
     (HEAD + "stab\n", 3),
@@ -228,10 +243,19 @@ def test_script_round_trip_property(script):
     (HEAD + "start: xy\n", 3),
     ("strands: 3\n# no start\n", 3),
     ("cyc 1\n" + HEAD, 1),
-])
+] + [(text, 3) for text, _ in _GENERATOR_ERRORS])
 def test_malformed_script_lines_name_their_line(text, lineno):
     with pytest.raises(ScriptError, match=rf"\bline {lineno}\b"):
         parse_script(text)
+
+
+@pytest.mark.parametrize("text, message", _GENERATOR_ERRORS)
+def test_malformed_generators_keep_their_errors(text, message):
+    # A lone x, y, z or w in range is read without parse_braid; every other
+    # token still goes through it, so its error text is parse_braid's.
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == message
 
 
 def test_script_comments_and_blanks_ignored():
@@ -346,7 +370,7 @@ def test_to_torus_negative_generator():
 
 def test_to_torus_requires_knot():
     with pytest.raises(Exception):
-        to_torus_script(identity(3))
+        to_torus_script(BraidWord(3))
 
 
 def test_to_torus_random_property():
@@ -468,7 +492,95 @@ def test_run_script_takes_each_words_permutation_once(monkeypatch):
     real = braid.underlying_permutation
     monkeypatch.setattr(braid, "underlying_permutation", lambda w: calls.append(w) or real(w))
     script = parse_script(SCRIPTS.joinpath("m8_20.txt").read_text(encoding="utf-8"))
-    run_script(script)
-    # One per word of the component trace (start, then after each of the 4
-    # moves), and self_linking's own knot check at the start and the end.
-    assert len(calls) == 5 + 2
+    end, _ = run_script(script)
+    # The start, then one per ins, stab or destab: m8_20's two cc moves and
+    # its eq carry the count forward, and only its destab recounts.
+    assert calls == [script.start, end]
+
+
+# ---------------------------------------------------------------------------
+# the component trace and the words each move returns
+# ---------------------------------------------------------------------------
+
+def _adaptive_script(rng):
+    """A random script that replays, using every kind of move."""
+    n = rng.randint(2, 4)
+    cur = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                             for _ in range(rng.randint(0, 8))))
+    start, moves = cur, []
+    for _ in range(rng.randint(1, 14)):
+        n = cur.strands
+        kind = rng.choice(["ins", "cc", "conj", "cyc", "eq", "stab", "destab"] if n > 1 else ["stab"])
+        if kind == "ins":
+            move = InsertPositive(rng.randint(0, len(cur)), rng.randint(1, n - 1))
+        elif kind == "cc":
+            negs = [j for j, g in enumerate(cur.letters) if g < 0]
+            if not negs:
+                continue
+            j = rng.choice(negs)
+            move = CrossingChange(j, -cur.letters[j])
+        elif kind == "conj":
+            move = Conjugate(BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                                for _ in range(rng.randint(0, 3)))))
+        elif kind == "cyc":
+            move = CyclicPermute(rng.randint(-5, 5))
+        elif kind == "eq":
+            # insert a cancelling pair: the same braid, spelled differently
+            j, g = rng.randint(0, len(cur)), rng.randint(1, n - 1)
+            move = RewriteEqual(BraidWord(n, cur.letters[:j] + (g, -g) + cur.letters[j:]))
+        elif kind == "stab":
+            move = MarkovStabilize(rng.choice([1, -1]))
+        elif sum(g == n - 1 for g in cur.letters) == 1 and -(n - 1) not in cur.letters:
+            move = MarkovDestabilize()
+        else:
+            continue
+        cur = apply_move(cur, move)
+        moves.append(move)
+    return MoveScript(start=start, moves=tuple(moves))
+
+
+def _trace_scripts():
+    """Corpus scripts, seeded torus scripts at n = 3..8 and adaptive random scripts."""
+    scripts = [parse_script(path.read_text(encoding="utf-8")) for path in sorted(SCRIPTS.iterdir())]
+    rng = random.Random(41)
+    for n in range(3, 9):
+        for _ in range(3):
+            while True:
+                w = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                       for _ in range(n - 1 + 2 * rng.randint(0, 2))))
+                if closure_components(w) == 1:
+                    break
+            scripts.append(to_torus_script(w))
+    scripts += [_adaptive_script(rng) for _ in range(150)]
+    return scripts
+
+
+def test_component_trace_matches_every_intermediate_word():
+    # Also: every word a move returns passes the public constructor's check.
+    kinds = set()
+    for script in _trace_scripts():
+        w = script.start
+        expect = [closure_components(w)]
+        for move in script.moves:
+            w = apply_move(w, move)
+            assert type(w.letters) is tuple and BraidWord(w.strands, w.letters) == w
+            expect.append(closure_components(w))
+            kinds.add(move if isinstance(move, MarkovStabilize) else type(move))
+        end, ledger = run_script(script)
+        assert end == w
+        assert ledger.component_trace == expect, serialize_script(script)
+    assert len(kinds) == 8, kinds  # all seven moves, and stab with both signs
+
+
+@given(_move_scripts())
+@settings(max_examples=200, deadline=None)
+def test_moves_on_arbitrary_scripts_return_words_in_range(script):
+    # Moves that do not apply raise; every word a move returns must still
+    # pass the public constructor's letter check.
+    w = script.start
+    for move in script.moves:
+        try:
+            w = apply_move(w, move)
+        except (ScriptError, BraidError):
+            return
+        assert BraidWord(w.strands, w.letters) == w
