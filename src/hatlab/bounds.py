@@ -53,11 +53,6 @@ def hat_genus_at_degree(slk: int, d: int) -> int:
     return g2 // 2
 
 
-def slk_from_hat(d: int, genus: int) -> int:
-    """Inverse relation: the self-linking number a degree-d genus-g hat forces."""
-    return (d * d - 3 * d + 1) - 2 * genus
-
-
 def triangular_lb(g_s: int) -> tuple[int, int, int]:
     """(m, d, genus_lb): least m = (d-2)(d-1)/2 >= g_s and the bound m - g_s.
 
@@ -196,47 +191,32 @@ def load_witnesses() -> WitnessDB:
     )
 
 
-def t2_lower_bound(k: int) -> int:
-    """Lower bound for the hat genus of the maximal-slk T(2,2k+1).
+def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
+    """Rows ``(k, lower_bound, witness_genus, value)`` for the maximal-slk
+    T(2,2k+1), k = 1..k_max.
 
     T(2,2k+1) is quasipositive of slice genus k, so the triangular bound
     applies: writing k = d(d-1)/2 + l with 1 <= l <= d, it is d - l.
     Recorded obstruction upgrades (stored with provenance) may raise it.
+    ``witness_genus`` is the genus of the recorded hat, or None, and
+    ``value`` is the hat genus when the bound meets that witness, else None.
     """
-    if k < 1:
-        raise BoundsError("need k >= 1")
-    bound = triangular_lb(k)[2]
-    upgrade = load_witnesses().t2_lower_upgrades.get(k)
-    if upgrade is not None:
-        bound = max(bound, upgrade[0])
-    return bound
-
-
-@dataclass(frozen=True)
-class T2Row:
-    k: int
-    lower_bound: int
-    witness_genus: Optional[int]
-
-    @property
-    def value(self) -> Optional[int]:
-        """The hat genus when the bound meets a witness, else None."""
-        if self.witness_genus is not None and self.witness_genus == self.lower_bound:
-            return self.lower_bound
-        return None
-
-
-def t2_table(k_max: int) -> list[T2Row]:
     if k_max < 1:
         raise BoundsError("need k_max >= 1")
     db = load_witnesses()
     rows = []
     for k in range(1, k_max + 1):
-        lb = t2_lower_bound(k)
+        lb = triangular_lb(k)[2]
+        upgrade = db.t2_lower_upgrades.get(k)
+        if upgrade is not None:
+            lb = max(lb, upgrade[0])
         w = db.t2_witnesses.get(k)
-        if w is not None and w.genus < lb:
+        if w is None:
+            rows.append((k, lb, None, None))
+            continue
+        if w.genus < lb:
             raise BoundsError(f"k={k}: witness genus {w.genus} below bound {lb}")
-        rows.append(T2Row(k, lb, w.genus if w else None))
+        rows.append((k, lb, w.genus, lb if w.genus == lb else None))
     return rows
 
 

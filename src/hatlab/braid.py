@@ -310,16 +310,6 @@ def simple_word(perm: tuple[int, ...]) -> BraidWord:
     return w
 
 
-def half_twist(n: int) -> BraidWord:
-    """The Garside half twist Delta_n = (s1..s_{n-1})(s1..s_{n-2})...(s1).
-
-    It is the positive permutation braid of the reversal (n-1, ..., 0).
-    """
-    if n < 1:
-        raise BraidError("strand count must be >= 1")
-    return simple_word(tuple(range(n - 1, -1, -1)))
-
-
 def full_twist(n: int) -> BraidWord:
     """The full twist Delta_n^2 = (s1 ... s_{n-1})^n, the generator of the center."""
     if n < 1:

@@ -95,16 +95,11 @@ def _cmd_t2_table(args) -> int:
     if args.json:
         import json
 
-        payload = [
-            {"k": r.k, "lower_bound": r.lower_bound, "witness_genus": r.witness_genus}
-            for r in rows
-        ]
+        payload = [{"k": k, "lower_bound": lb, "witness_genus": wg} for k, lb, wg, _ in rows]
         print(json.dumps(payload, indent=2))
         return 0
-    print("k\t" + "\t".join(str(r.k) for r in rows))
-    print("g_hat\t" + "\t".join(
-        str(r.value) if r.value is not None else "?" for r in rows
-    ))
+    print("k\t" + "\t".join(str(row[0]) for row in rows))
+    print("g_hat\t" + "\t".join("?" if v is None else str(v) for *_, v in rows))
     return 0
 
 
@@ -154,11 +149,8 @@ def _reproduce_t2() -> list[tuple[str, bool]]:
     from . import bounds as bounds_mod
 
     rows = bounds_mod.t2_table(max(bounds_mod.load_witnesses().t2_witnesses))
-    return [
-        (f"t2 k={r.k}: value {r.value} expected {r.witness_genus}",
-         r.witness_genus is not None and r.value == r.witness_genus)
-        for r in rows
-    ]
+    return [(f"t2 k={k}: value {v} expected {wg}", wg is not None and v == wg)
+            for k, _, wg, v in rows]
 
 
 def _reproduce_k3() -> list[tuple[str, bool]]:

@@ -90,14 +90,14 @@ _FORM_TABLE = {
 
 def form_label(rank: int, signature: int) -> str:
     """Label of the unimodular form with this rank and signature, when the
-    pair appears in the recorded constructions; otherwise 'undetermined'."""
+    pair appears in the recorded constructions; otherwise 'undetermined'.
+
+    Only K3 caps are labelled.  A cap bounded by an integral homology sphere
+    is an orthogonal summand of the even K3 lattice, so its form is even.
+    """
     if abs(signature) > rank or (rank - signature) % 2:
         raise CoverError(f"no unimodular form has rank {rank}, signature {signature}")
-    if (rank, signature) in _FORM_TABLE:
-        return _FORM_TABLE[(rank, signature)]
-    if rank >= 1 and signature == -rank:
-        return f"<-1>^{rank}"
-    return "undetermined"
+    return _FORM_TABLE.get((rank, signature), "undetermined")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ formula rearranges to
 and a genus-g curve adds ``2g`` to the right-hand side.  Searches keep all
 adjunction solutions in range and annotate each with the positivity
 constraints coming from lines and conics through blown-up points (with the
-sentinel coefficients b_{N+1} = p and b_{N+2} = 2) and with the
+sentinel coefficients b_{N+1} = p and b_{N+2} = 2) and with the Ohta-Ono
 self-intersection cap ``a^2 - sum(b_i^2) <= p^2 + 9`` for curves with a
-simple cusp.
+simple cusp.  Each formula is written once: adjunction and the cap in
+:func:`search`, positivity in ``_gromov``.
 
 All arithmetic is exact; enumeration bounds are explicit so completeness is
 auditable: positivity forces 0 <= b_i <= a for any solution with a > 0.
@@ -64,15 +65,6 @@ class CurveClass:
         return f"({self.a}; {', '.join(map(str, self.b)) or '-'})"
 
 
-def adjunction_at_genus(p: int, c: CurveClass, genus: int) -> bool:
-    """Adjunction for a genus-g curve with T(p,p+1) and T(2,3) cusps."""
-    if p < 2:
-        raise SearchError("need p >= 2")
-    if genus < 0:
-        raise SearchError("genus must be >= 0")
-    return c.self_intersection == p * p - p + (3 * c.a - sum(c.b)) + 2 * genus
-
-
 @dataclass(frozen=True, slots=True)
 class GromovDetail:
     line_with_cusp: bool     # a >= b_1 + p
@@ -88,22 +80,16 @@ class GromovDetail:
                 and self.all_permuted)
 
 
-def gromov_constraints(p: int, c: CurveClass) -> GromovDetail:
-    """Positivity against rational curves of degree 1 and 2.
+_ZEROS = (0,) * 5
+
+
+def _gromov(p: int, a: int, b: tuple[int, ...]) -> GromovDetail:
+    """Positivity of class (a; b) against rational curves of degree 1 and 2.
 
     Sentinel coefficients b_{N+1} = p and b_{N+2} = 2 stand for the two
     cusps; appending them before sorting covers every index-permuted variant
     of the named inequalities.
     """
-    if p < 2:
-        raise SearchError("need p >= 2")
-    return _gromov(p, c.a, c.b)
-
-
-_ZEROS = (0,) * 5
-
-
-def _gromov(p: int, a: int, b: tuple[int, ...]) -> GromovDetail:
     # b is non-increasing, so the five largest of b plus the sentinels are
     # among its first five entries (zero-padded) and p, 2
     b0, b1, b2, b3, b4 = (b[:5] + _ZEROS)[:5]
@@ -121,18 +107,6 @@ def _gromov(p: int, a: int, b: tuple[int, ...]) -> GromovDetail:
 def _shared_detail(*flags: bool) -> GromovDetail:
     # at most 32 distinct details exist; every class with the same flags shares one
     return GromovDetail(*flags)
-
-
-def ohta_ono_filter(p: int, c: CurveClass) -> bool:
-    """True iff the self-intersection cap p^2 + 9 is respected.
-
-    Rational cuspidal curves with a simple cusp cannot have self-intersection
-    above 9 after the T(p,p+1) point is blown down, so violators are
-    impossible classes.
-    """
-    if p < 2:
-        raise SearchError("need p >= 2")
-    return c.self_intersection <= p * p + 9
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,6 +205,8 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
         raise SearchError("bad search parameters")
     # adjunction reads a^2 - sum(b_i^2) == cusps + 3a - sum(b_i)
     cusps = p * p - p + 2 * genus
+    # a rational cuspidal curve with a simple cusp has self-intersection at
+    # most 9 once its T(p,p+1) point is blown down (Ohta-Ono)
     self_int_cap = p * p + 9
     visited = [0]
     found: list[Annotated] = []

@@ -7,10 +7,10 @@ closure must be a knot and the self-linking number of the braid must equal
 2 * slice_genus - 1, which is the adjunction identity for quasipositive
 braid closures.
 
-The database lives in ``data/knots.json`` and round-trips through
-:func:`serialize_db` byte-identically.  Set ``HATLAB_DB`` to point at an
-external UTF-8 file with the same layout; a record field outside that layout
-is an error, not ignored.
+The database lives in ``data/knots.json``, one JSON object per record,
+and :func:`load_db` is its only reader; hatlab never writes it.  Set
+``HATLAB_DB`` to point at an external UTF-8 file with the same layout; a
+record field outside that layout is an error, not ignored.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from importlib import resources
 from typing import Optional
 
 from . import HatlabError
-from .braid import (BraidError, BraidWord, braid_text, closure_components, parse_braid,
-                     self_linking)
+from .braid import BraidError, BraidWord, closure_components, parse_braid, self_linking
 
 
 class DatabaseError(HatlabError):
@@ -82,27 +81,6 @@ def _record_from_json(obj, where: str) -> KnotRecord:
         raise DatabaseError(f"{where}: field 'braid': {e}") from e
     return KnotRecord(obj["name"], braid, obj["slice_genus"], obj["determinant_one"],
                       obj.get("script"), target, obj.get("note") or "")
-
-
-def _record_to_json(rec: KnotRecord) -> dict:
-    obj = {
-        "name": rec.name,
-        "strands": rec.braid.strands,
-        "braid": braid_text(rec.braid),
-        "slice_genus": rec.slice_genus,
-        "determinant_one": rec.determinant_one,
-        "script": rec.script_ref,
-        "target": None,
-        "note": rec.note,
-    }
-    if rec.target is not None:
-        obj["target"] = {"label": rec.target[0], "degree": rec.target[1]}
-    return obj
-
-
-def serialize_db(records: list[KnotRecord]) -> str:
-    payload = {"knots": [_record_to_json(r) for r in records]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def check_record(rec: KnotRecord) -> None:

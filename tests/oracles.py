@@ -3,18 +3,23 @@
 from functools import cache
 
 from hatlab.braid import BraidWord
-from hatlab.curves import CurveClass, adjunction_at_genus
+from hatlab.curves import CurveClass
 
 
 def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
                           genus: int = 0) -> list[CurveClass]:
-    """Naive nested-loop oracle over all unsorted tuples; for cross-checks."""
+    """Naive nested-loop oracle over all unsorted tuples; for cross-checks.
+
+    A class is a solution when its smooth genus, after the T(p,p+1) and
+    T(2,3) cusps absorb their Milnor genera p(p-1)/2 and 1, is ``genus``.
+    """
     out = set()
+    sing = p * (p - 1) // 2 + 1
 
     def rec(a, prefix, n):
         if n == 0:
             cls = CurveClass(a, tuple(prefix))
-            if adjunction_at_genus(p, cls, genus):
+            if class_genus(cls, sing) == genus:
                 out.add(cls)
             return
         for v in range(0, a + 1):

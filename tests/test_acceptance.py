@@ -127,7 +127,7 @@ def test_criterion_4_hat_genus_degree_relation():
 def test_criterion_5_t2_table_exact():
     """T(2,2k+1) hat-genus row for k = 1..11, exactly."""
     rows = t2_table(11)
-    assert [r.value for r in rows] == [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
+    assert [v for *_, v in rows] == [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
     _ok("criterion 5: t2 table row 0,1,0,2,1,0,3,2,1,5,4 exact")
 
 

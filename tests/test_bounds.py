@@ -20,8 +20,6 @@ from hatlab.bounds import (
     semigroup_lb,
     singular_genus_budget,
     slice_genus_qp,
-    slk_from_hat,
-    t2_lower_bound,
     t2_table,
     triangular_lb,
     twist_knot_hat_genus,
@@ -73,7 +71,7 @@ def test_degree_genus_inverse_relation():
             hat_genus_at_degree(slk, d0 - 1)
         for d in range(d0, d0 + 8):
             g = hat_genus_at_degree(slk, d)
-            assert slk_from_hat(d, g) == slk
+            assert (d * d - 3 * d + 1) - 2 * g == slk
 
 
 def test_triangular_lb_examples():
@@ -193,18 +191,20 @@ def test_recorded_cusp_curves_fit_the_genus_budget():
                 assert singular_genus_budget(q, [milnor_genus(p, q)]) == genus
 
 
-def test_t2_lower_bound_rule():
+def test_t2_table_lower_bound_rule():
     # k between consecutive triangular numbers d(d-1)/2 and d(d+1)/2 gives d-l
-    assert [t2_lower_bound(k) for k in range(1, 10)] == [0, 1, 0, 2, 1, 0, 3, 2, 1]
-    assert t2_lower_bound(10) == 5   # upgraded past the triangular value 0
-    assert t2_lower_bound(11) == 4
+    bounds = [lb for _, lb, _, _ in t2_table(11)]
+    assert bounds[:9] == [0, 1, 0, 2, 1, 0, 3, 2, 1]
+    assert bounds[9] == 5   # k = 10, upgraded past the triangular value 0
+    assert bounds[10] == 4
 
 
 def test_t2_table_matches_recorded_row():
     rows = t2_table(11)
-    assert [r.value for r in rows] == [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
-    for r in rows:
-        assert r.witness_genus == r.lower_bound  # sharp through k = 11
+    assert [k for k, *_ in rows] == list(range(1, 12))
+    assert [v for *_, v in rows] == [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
+    for _, lb, wg, _ in rows:
+        assert wg == lb  # sharp through k = 11
 
 
 def test_t2_table_witnesses_satisfy_relation():
@@ -216,8 +216,7 @@ def test_t2_table_witnesses_satisfy_relation():
 
 def test_t2_table_unknown_rows_flagged():
     rows = t2_table(13)
-    assert rows[11].witness_genus is None
-    assert rows[11].value is None  # emitted as "?" by the CLI
+    assert rows[11] == (12, triangular_lb(12)[2], None, None)  # "?" in the CLI
 
 
 def test_bounds_report():
@@ -265,11 +264,11 @@ def test_least_degree_property(g):
     assert m == (d - 1) * (d - 2) // 2 and lb == m - g
 
 
-def test_t2_lower_bound_is_the_triangular_bound_unless_upgraded():
+def test_t2_table_bound_is_the_triangular_bound_unless_upgraded():
     ups = load_witnesses().t2_lower_upgrades
-    for k in range(1, 300):
+    for k, lb, _, _ in t2_table(299):
         tri = triangular_lb(k)[2]  # T(2,2k+1) is quasipositive of slice genus k
-        assert t2_lower_bound(k) == (max(tri, ups[k][0]) if k in ups else tri)
+        assert lb == (max(tri, ups[k][0]) if k in ups else tri)
 
 
 def test_bounds_report_degree_lb_is_the_least_feasible_degree():
@@ -285,4 +284,4 @@ def test_bounds_report_degree_lb_is_the_least_feasible_degree():
             assert rep.genus_lb == (triangular_lb(g_s)[2] if g_s is not None
                                     else -(slk + 1) // 2)
             for deg, genus in rep.genus_by_degree.items():
-                assert slk_from_hat(deg, genus) == slk
+                assert (deg * deg - 3 * deg + 1) - 2 * genus == slk

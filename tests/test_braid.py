@@ -18,7 +18,6 @@ from hatlab.braid import (
     equal,
     exponent_sum,
     full_twist,
-    half_twist,
     inverse,
     markov_destabilize,
     markov_stabilize,
@@ -298,7 +297,7 @@ def test_equal_agrees_with_artin_on_generated_words(n, data):
     u = BraidWord(n, data.draw(words))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
     pairs = [(w, u), (w, _insert(w, rng.randint(0, len(w)), u.letters + inverse(u).letters)),
-             (half_twist(n) * w, _mirror(w) * half_twist(n))]
+             (_delta(n) * w, _mirror(w) * _delta(n))]
     pairs += [(w, v) for v in _same_invariant_spoilers(w, rng)]
     for a, b in pairs:
         assert equal(a, b) == artin_equal(a, b), (a, b)
@@ -308,7 +307,7 @@ def test_equal_agrees_with_artin_on_generated_words(n, data):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_delta_conjugation_mirrors_indices(n, parity):
     rng = random.Random(10 * n + parity)
-    delta = half_twist(n)
+    delta = _delta(n)
     for length in (20, 41, 60):
         w = _mixed_word(rng, n, length)
         if sum(g < 0 for g in w.letters) % 2 != parity:
@@ -425,17 +424,21 @@ def test_stabilization_slk():
 # half twist and full twist
 # ---------------------------------------------------------------------------
 
-def test_half_twist_is_the_simple_word_of_the_reversal():
+def _delta(n: int) -> BraidWord:
+    """The Garside half twist: the positive permutation braid of the reversal."""
+    return simple_word(tuple(range(n - 1, -1, -1)))
+
+
+def test_simple_word_of_the_reversal_is_delta():
     for n in range(1, 12):
-        reversal = tuple(range(n - 1, -1, -1))
         spelled = tuple(i for top in range(n - 1, 0, -1) for i in range(1, top + 1))
-        assert half_twist(n) == simple_word(reversal) == BraidWord(n, spelled)
-        assert normal_form(half_twist(n)) == NormalForm(n, 1 if n > 1 else 0, ())
+        assert _delta(n) == BraidWord(n, spelled)
+        assert normal_form(_delta(n)) == NormalForm(n, 1 if n > 1 else 0, ())
 
 
-def test_half_twist_squares_to_full_twist():
+def test_delta_squares_to_full_twist():
     for n in range(2, 7):
-        assert equal(half_twist(n) * half_twist(n), full_twist(n))
+        assert equal(_delta(n) * _delta(n), full_twist(n))
 
 
 def test_full_twist_small_cases():

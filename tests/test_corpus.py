@@ -13,7 +13,6 @@ from hatlab.db import (
     check_record,
     get_knot,
     load_db,
-    serialize_db,
 )
 
 
@@ -54,20 +53,39 @@ def test_bad_record_aborts_with_name():
     assert "bogus" in str(exc.value)
 
 
-def test_database_round_trips_byte_identically():
+def _raw_knots() -> list[dict]:
     import importlib.resources as resources
 
-    raw = resources.files("hatlab").joinpath("data", "knots.json").read_text()
-    assert serialize_db(load_db()) == raw
+    text = resources.files("hatlab").joinpath("data", "knots.json").read_text(encoding="utf-8")
+    return json.loads(text)["knots"]
+
+
+def test_database_records_match_their_json():
+    raw = _raw_knots()
+    records = load_db()
+    assert len(records) == len(raw)
+    for rec, obj in zip(records, raw):
+        target = None if rec.target is None else {"label": rec.target[0],
+                                                  "degree": rec.target[1]}
+        assert obj == {
+            "name": rec.name,
+            "strands": rec.braid.strands,
+            "braid": braid_text(rec.braid),
+            "slice_genus": rec.slice_genus,
+            "determinant_one": rec.determinant_one,
+            "script": rec.script_ref,
+            "target": target,
+            "note": rec.note,
+        }, rec.name
 
 
 def test_env_override(tmp_path, monkeypatch):
-    records = load_db()
-    alt = [r for r in records if r.script_ref is None]
+    alt = [obj for obj in _raw_knots() if obj["script"] is None]
+    assert alt
     path = tmp_path / "mini.json"
-    path.write_text(serialize_db(alt))
+    path.write_text(json.dumps({"knots": alt}), encoding="utf-8")
     monkeypatch.setenv("HATLAB_DB", str(path))
-    assert [r.name for r in load_db()] == [r.name for r in alt]
+    assert [r.name for r in load_db()] == [obj["name"] for obj in alt]
 
 
 def test_corpus_replays_21_of_21():

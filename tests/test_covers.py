@@ -128,7 +128,7 @@ def test_form_labels():
     assert form_label(8, -8) == "E8"
     assert form_label(4, 0) == "2H"
     assert form_label(2, 0) == "H"
-    assert form_label(1, -1) == "<-1>^1"
+    assert form_label(1, -1) == "undetermined"  # odd: never the form of a K3 cap
     assert form_label(22, -16) == "undetermined"
     with pytest.raises(CoverError):
         form_label(3, -8)

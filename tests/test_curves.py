@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hatlab import curves
-from hatlab.curves import (
-    CurveClass,
-    SearchError,
-    adjunction_at_genus,
-    gromov_constraints,
-    ohta_ono_filter,
-    search,
-)
+from hatlab.curves import CurveClass, SearchError, search
 from oracles import brute_force_solutions, class_genus, count_solutions, gromov_flags
 
 
@@ -33,10 +26,10 @@ def test_curve_class_rejects_negatives():
 
 
 def test_adjunction_examples():
-    assert adjunction_at_genus(6, CurveClass(9, (3, 3, 3, 3)), 0)
-    assert not adjunction_at_genus(2, CurveClass(0), 0)
-    assert not adjunction_at_genus(4, CurveClass(10, (8,)), 0)
-    assert adjunction_at_genus(4, CurveClass(10, (8,)), 1)
+    assert CurveClass(9, (3, 3, 3, 3)) in search(6, 4, 9, 9).classes
+    assert search(2, 0, 0, 0).classes == []
+    assert CurveClass(10, (8,)) not in search(4, 1, 10, 10, genus=0).classes
+    assert search(4, 1, 10, 10, genus=1).classes == [CurveClass(10, (8,))]
 
 
 def test_class_genus_examples():
@@ -58,25 +51,20 @@ def test_adjunction_agrees_with_class_genus():
         g = rng.randint(0, 3)
         c = CurveClass(a, b)
         sing = milnor_genus(p, p + 1) + milnor_genus(2, 3)
-        assert adjunction_at_genus(p, c, g) == (class_genus(c, sing) == g)
+        found = search(p, len(b), a, a, genus=g).classes
+        assert (c in found) == (class_genus(c, sing) == g), (p, c, g)
 
 
 def test_gromov_examples():
-    d = gromov_constraints(4, CurveClass(10, (8,)))
+    d = curves._gromov(4, 10, (8,))
     assert not d.line_with_cusp           # 10 < 8 + 4
     assert not d.passes
-    d = gromov_constraints(3, CurveClass(6, (4,)))
+    d = curves._gromov(3, 6, (4,))
     assert not d.line_with_cusp           # 6 < 4 + 3: per-inequality detail
     assert not d.passes
     # sentinel-only classes: a >= p + 2 suffices
-    assert gromov_constraints(5, CurveClass(7)).passes
-    assert not gromov_constraints(5, CurveClass(6)).passes
-
-
-def test_ohta_ono_examples():
-    assert not ohta_ono_filter(3, CurveClass(6, (4,)))     # 20 > 18
-    assert ohta_ono_filter(6, CurveClass(9, (3, 3, 3, 3)))  # 45 <= 45
-    assert ohta_ono_filter(2, CurveClass(0))
+    assert curves._gromov(5, 7, ()).passes
+    assert not curves._gromov(5, 6, ()).passes
 
 
 def test_search_k3_case():
@@ -84,7 +72,7 @@ def test_search_k3_case():
     assert rep.classes == [CurveClass(6, (4,))]
     sol = rep.solutions[0]
     assert sol.cls.self_intersection == 20
-    assert not sol.ohta_ono
+    assert not sol.ohta_ono  # 20 > 3^2 + 9
 
 
 def test_search_k4_genus1_case():
@@ -95,9 +83,10 @@ def test_search_k4_genus1_case():
 
 def test_search_k6_case():
     rep = search(6, 4, 0, 9, genus=0)
-    passing = [s.cls for s in rep.solutions if s.gromov.passes]
-    assert passing == [CurveClass(9, (3, 3, 3, 3))]
-    assert CurveClass(9, (3, 3, 3, 3)).self_intersection == 45
+    passing = [s for s in rep.solutions if s.gromov.passes]
+    assert [s.cls for s in passing] == [CurveClass(9, (3, 3, 3, 3))]
+    assert passing[0].cls.self_intersection == 45
+    assert passing[0].ohta_ono  # 45 <= 6^2 + 9: the cap is not strict
     # beyond a = 9 every positivity-compatible solution breaks the cusp cap
     rep = search(6, 4, 10, 25, genus=0)
     assert not [s for s in rep.solutions if s.gromov.passes and s.ohta_ono]
@@ -114,13 +103,19 @@ def test_search_k7_case():
 def test_search_annotations_match_the_formulas():
     rep = search(8, 7, 0, 34)
     assert (len(rep.solutions), len(rep.surviving), rep.nodes) == (35_919, 1_162, 139_312)
-    for s in rep.solutions:
-        c = s.cls
-        assert astuple(s.gromov) == gromov_flags(8, c)
-        self_int = c.a * c.a - sum(x * x for x in c.b)
-        assert c.self_intersection == self_int
-        assert s.ohta_ono == (self_int <= 8 * 8 + 9)
-        assert s.survives == (s.gromov.passes and s.ohta_ono)
+    # fewer than five blow-ups exercise the zero-padding of the positivity flags
+    small = [search(2, 0, 0, 30, genus=1), search(4, 0, 0, 30, genus=3),
+             search(2, 1, 0, 30), search(3, 2, 0, 20), search(6, 3, 0, 20),
+             search(4, 4, 0, 14)]
+    assert [len(r.solutions) for r in small] == [1, 1, 1, 11, 41, 78]
+    for r in [rep, *small]:
+        for s in r.solutions:
+            c = s.cls
+            assert astuple(s.gromov) == gromov_flags(r.p, c)
+            self_int = c.a * c.a - sum(x * x for x in c.b)
+            assert c.self_intersection == self_int
+            assert s.ohta_ono == (self_int <= r.p * r.p + 9)
+            assert s.survives == (s.gromov.passes and s.ohta_ono)
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,19 +124,20 @@ def test_search_annotations_match_the_formulas():
     st.integers(min_value=0, max_value=24),
     st.lists(st.integers(min_value=0, max_value=12), max_size=9),
 )
-def test_gromov_constraints_match_the_formulas(p, a, b):
+def test_gromov_matches_the_formulas_on_any_class(p, a, b):
     # any length, N < 5 included, and entries above p; entries up to half
     # the largest a keep each sum near its bound 2a
     c = CurveClass(a, tuple(b))
-    assert astuple(gromov_constraints(p, c)) == gromov_flags(p, c)
+    assert astuple(curves._gromov(p, c.a, c.b)) == gromov_flags(p, c)
 
 
 def test_search_solutions_reverify():
     rep = search(5, 3, 0, 14, genus=0)
+    assert rep.solutions
     for s in rep.solutions:
-        assert adjunction_at_genus(5, s.cls, 0)
-        assert gromov_constraints(5, s.cls) == s.gromov
-        assert ohta_ono_filter(5, s.cls) == s.ohta_ono
+        assert class_genus(s.cls, 5 * 4 // 2 + 1) == 0
+        assert astuple(s.gromov) == gromov_flags(5, s.cls)
+        assert s.ohta_ono == (s.cls.self_intersection <= 5 * 5 + 9)
 
 
 def test_search_oracle_equivalence():
@@ -248,7 +244,7 @@ def test_sentinels_never_weaken(p, a, b):
     """Appending the sentinel coefficients only tightens the constraints."""
     b = tuple(x for x in b if x <= a)
     c = CurveClass(a, b)
-    d = gromov_constraints(p, c)
+    d = curves._gromov(p, c.a, c.b)
     bare = sorted(b, reverse=True) + [0] * 5
     bare_pair = a >= bare[0] + bare[1]
     bare_five = 2 * a >= sum(bare[:5])
