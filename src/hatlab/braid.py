@@ -111,7 +111,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     Grammar: ``word := term*``, ``term := letter ('^' int)?``; whitespace is
     ignored.  Letters are x, y, z, w for sigma_1..sigma_4 with capitals for
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
-    Negative powers invert the letter, so ``x^-3`` equals ``X^3``.
+    Negative powers invert the letter, so ``x^-3`` equals ``X^3``.  Digits are ASCII.
     """
     letters: list[int] = []
     i = 0
@@ -124,7 +124,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         start = i
         if ch in "sS":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise BraidError(f"numeric generator needs digits at column {i}: {text!r}")
@@ -143,7 +143,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             if j < len(text) and text[j] == "-":
                 j += 1
             k = j
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise BraidError(f"malformed power at column {i} in {text!r}")

@@ -65,12 +65,19 @@ def _cmd_run_script(args) -> int:
 
 
 def _cmd_verify_corpus(args) -> int:
+    from .braid import braid_text
     from .corpus import verify_corpus
 
     report = verify_corpus()
     print("name\tstatus\tbands\tgenus\tslk_start\tslk_end\tend\tdetail")
-    for row in report.rows():
-        print(row)
+    for r in report.results:
+        lg = r.ledger
+        if lg is None:
+            print(f"{r.name}\tFAIL\t0\t-\tNone\tNone\t\t{r.detail}")
+            continue
+        genus = "-" if lg.genus is None else lg.genus
+        print(f"{r.name}\tPASS\t{lg.bands}\t{genus}\t{lg.slk_start}\t{lg.slk_end}\t"
+              f"{braid_text(r.end)}\t")
     print(report.summary())
     return 0 if report.ok else 1
 

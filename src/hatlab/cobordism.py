@@ -17,9 +17,9 @@ the replay of its first ``eq`` step certify it.
 Replay records the closure's component count after every move, which is the
 number of cycles of the word's permutation.  ``conj`` and ``cyc`` conjugate
 the permutation, a certified ``eq`` keeps it, and ``cc`` keeps it because
-sigma_i and its inverse are the same transposition, so these four moves carry
-the previous count forward.  Only ``ins``, ``stab`` and ``destab`` change the
-permutation's cycle type, and replay counts the cycles again after them.
+sigma_i and its inverse are the same transposition; ``stab`` and ``destab`` are
+Markov moves, which keep the closure and so its component count.  Replay carries
+the count forward after these six moves and recounts it only after ``ins``.
 The self-linking at either end is the exponent sum minus the strands when the
 closure there is a knot.
 
@@ -223,7 +223,7 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
             w = apply_move(w, move)
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({move!r}): {e}") from e
-        trace.append(trace[-1] if type(move) in _KEEPS_CYCLES else closure_components(w))
+        trace.append(closure_components(w) if type(move) is InsertPositive else trace[-1])
     # Self-linking of a knot closure: exponent sum minus strands.
     if trace[0] == 1:
         ledger.slk_start = exponent_sum(script.start) - script.start.strands
@@ -332,9 +332,6 @@ _MOVES = {
 _TOKENS = {cls: (token, [(f.name, write) for f, (_, write) in zip(fields(cls), kinds)])
            for token, (cls, kinds, _, _) in _MOVES.items()}
 _ACTIONS = {cls: action for cls, _, _, action in _MOVES.values()}
-# Moves that keep the permutation's cycle type, so replay carries the
-# closure's component count forward instead of recounting it.
-_KEEPS_CYCLES = {Conjugate, CyclicPermute, RewriteEqual, CrossingChange}
 # Headers in the order they must appear; each appears at most once.
 _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 
@@ -464,8 +461,6 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     ``(s1 ... s_{n-1})^n`` letter by letter, and ends at ``beta0 *
     Delta^{2m}``, whose closure is the torus knot T(n, mn+1).
     """
-    if closure_components(w) != 1:
-        raise BraidError("torus scripts need a knot closure")
     n = w.strands
     beta0 = BraidWord(n, tuple(range(1, n)))
     moves: list[Move] = []
@@ -513,13 +508,16 @@ def _aligning_conjugator(w: BraidWord) -> BraidWord:
     perm(c w c^-1) applies perm(c), then perm(w), then perm(c)^-1, so it is
     perm(beta0) exactly when perm(c) carries the cycle of beta0 through 0,
     which is 0, n-1, ..., 1, point by point onto the cycle of w through 0.
-    ``w`` must close to a knot.
+    ``w`` must close to a knot: otherwise that cycle is shorter than n, and
+    this raises BraidError.
     """
     n = w.strands
     pw = underlying_permutation(w)
     sigma = [0] * n
     a = 0
     for k in range(n):
+        if k and not a:
+            raise BraidError("torus scripts need a knot closure")
         sigma[-k % n] = a
         a = pw[a]
     return simple_word(tuple(sigma))

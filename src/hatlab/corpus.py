@@ -2,8 +2,9 @@
 
 Every database record with a script reference replays from its stored
 braid to the declared torus (or connected-sum) target.  The verifier is
-deterministic: scripts may be replayed in any order and the report rows
-are always sorted by name.
+deterministic: scripts may be replayed in any order and the results are
+always sorted by name.  A result carries the replay's end word and ledger,
+or, when the replay failed, why.
 """
 
 from __future__ import annotations
@@ -12,22 +13,21 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .braid import BraidError, braid_text, equal
-from .cobordism import MoveScript, ScriptError, parse_script, run_script
+from .braid import BraidError, BraidWord, equal
+from .cobordism import CobordismLedger, MoveScript, ScriptError, parse_script, run_script
 from .db import KnotRecord, load_db
 
 
 @dataclass(frozen=True)
 class ScriptResult:
     name: str
-    ok: bool
-    detail: str
-    bands: int = 0
-    genus: Optional[int] = None
-    slk_start: Optional[int] = None
-    slk_end: Optional[int] = None
-    end: str = ""
-    end_strands: int = 0
+    detail: str = ""  # why the replay failed; empty when it passed
+    end: Optional[BraidWord] = None
+    ledger: Optional[CobordismLedger] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.ledger is not None
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,6 @@ class CorpusReport:
         passed = sum(r.ok for r in self.results)
         return f"{passed}/{len(self.results)} scripts replayed"
 
-    def rows(self) -> list[str]:
-        out = []
-        for r in self.results:
-            status = "PASS" if r.ok else "FAIL"
-            genus = "-" if r.genus is None else str(r.genus)
-            out.append(
-                f"{r.name}\t{status}\t{r.bands}\t{genus}\t"
-                f"{r.slk_start}\t{r.slk_end}\t{r.end}\t{r.detail}"
-            )
-        return out
-
 
 def load_script(ref: str) -> MoveScript:
     path = resources.files("hatlab").joinpath("data", "scripts", ref)
@@ -60,31 +49,19 @@ def load_script(ref: str) -> MoveScript:
 
 
 def replay_record(rec: KnotRecord) -> ScriptResult:
-    if rec.script_ref is None:
-        return ScriptResult(rec.name, True, "no script (already at target)")
+    """Replay a scripted record's script from the record's braid."""
     try:
         script = load_script(rec.script_ref)
         if not equal(script.start, rec.braid):
-            return ScriptResult(rec.name, False, "script start differs from stored braid")
+            return ScriptResult(rec.name, "script start differs from stored braid")
         end, ledger = run_script(script)
     except (ScriptError, BraidError, OSError) as e:
-        return ScriptResult(rec.name, False, str(e))
-    return ScriptResult(
-        name=rec.name,
-        ok=True,
-        detail="",
-        bands=ledger.bands,
-        genus=ledger.genus,
-        slk_start=ledger.slk_start,
-        slk_end=ledger.slk_end,
-        end=braid_text(end),
-        end_strands=end.strands,
-    )
+        return ScriptResult(rec.name, str(e))
+    return ScriptResult(rec.name, end=end, ledger=ledger)
 
 
-def verify_corpus(records: Optional[list[KnotRecord]] = None) -> CorpusReport:
+def verify_corpus() -> CorpusReport:
     """Replay every scripted record and report per-script ledgers."""
-    records = records if records is not None else load_db()
-    results = [replay_record(rec) for rec in records if rec.script_ref is not None]
+    results = [replay_record(rec) for rec in load_db() if rec.script_ref is not None]
     results.sort(key=lambda r: r.name)
     return CorpusReport(tuple(results))

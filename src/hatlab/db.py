@@ -8,9 +8,10 @@ closure must be a knot and the self-linking number of the braid must equal
 braid closures.
 
 The database lives in ``data/knots.json``, one JSON object per record,
-and :func:`load_db` is its only reader; hatlab never writes it.  Set
-``HATLAB_DB`` to point at an external UTF-8 file with the same layout; a
-record field outside that layout is an error, not ignored.
+and :func:`load_db` is its only reader; hatlab never writes it.  Setting
+``HATLAB_DB`` to an external UTF-8 file with the same layout is the only way
+to read another database; a record field outside that layout is an error, not
+ignored, and so is a repeated knot name.
 """
 
 from __future__ import annotations
@@ -93,18 +94,16 @@ def check_record(rec: KnotRecord) -> None:
         )
 
 
-def load_db(path: Optional[str] = None) -> list[KnotRecord]:
+def load_db() -> list[KnotRecord]:
     """Load and invariant-check the knot database.
 
-    Resolution order: explicit ``path`` argument, the ``HATLAB_DB``
-    environment variable, then the embedded database.  The file is read as
-    UTF-8.  Bytes that are not UTF-8 abort the load with their offset, bad
-    JSON with its line and column, a missing, mistyped or unknown field with
-    the record's index, name and field, a failed invariant with the record's
-    name.
+    Reads the file ``HATLAB_DB`` names if it is set, the embedded database
+    otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
+    offset, bad JSON with its line and column, a missing, mistyped or unknown
+    field with the record's index, name and field, a failed invariant with
+    the record's name, a repeated name with both records' indices.
     """
-    if path is None:
-        path = os.environ.get("HATLAB_DB")
+    path = os.environ.get("HATLAB_DB")
     if path is not None:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -124,14 +123,17 @@ def load_db(path: Optional[str] = None) -> list[KnotRecord]:
         raise DatabaseError(f"{source}: expected an object with a 'knots' array")
     records = [_record_from_json(obj, f"{source}: knots[{i}]")
                for i, obj in enumerate(payload["knots"])]
-    for rec in records:
+    first: dict[str, int] = {}  # name -> index of the record that has it
+    for i, rec in enumerate(records):
         check_record(rec)
+        if first.setdefault(rec.name, i) != i:
+            raise DatabaseError(f"{source}: knots[{i}] ({rec.name}): "
+                                f"name already used by knots[{first[rec.name]}]")
     return records
 
 
-def get_knot(name: str, records: Optional[list[KnotRecord]] = None) -> KnotRecord:
-    records = records if records is not None else load_db()
-    for rec in records:
+def get_knot(name: str) -> KnotRecord:
+    for rec in load_db():
         if rec.name == name:
             return rec
     raise DatabaseError(f"no knot named {name!r} in the database")

@@ -84,15 +84,14 @@ def test_criterion_2_corpus_replay():
     assert report.ok and len(report.results) == 21
     by_name = {r.name: r for r in report.results}
     pretzel = by_name["12n_242"]
-    assert pretzel.genus == 5
-    assert pretzel.end == "xyxyxyxyxyxyxyxyxyxyxy"  # (xy)^11
-    assert by_name["m(9_46)"].end == "x^3" and by_name["m(9_46)"].end_strands == 2
+    assert pretzel.ledger.genus == 5
+    assert pretzel.end == parse_braid("xyxyxyxyxyxyxyxyxyxyxy", 3)  # (xy)^11
+    assert by_name["m(9_46)"].end == parse_braid("x^3", 2)
     # the 7-crossing positive 2-braid: T(2,7), printed y^7 upstream of the
     # final destabilization
-    assert by_name["10_140"].end == "x^7" and by_name["10_140"].end_strands == 2
+    assert by_name["10_140"].end == parse_braid("x^7", 2)
     # (sigma_1 sigma_2)^5 in B3: T(3,5)
-    assert by_name["m(12n_318)"].end == "xyxyxyxyxy"
-    assert by_name["m(12n_318)"].end_strands == 3
+    assert by_name["m(12n_318)"].end == parse_braid("xyxyxyxyxy", 3)
     elapsed = time.time() - t0
     assert elapsed < 10.0, f"criterion 2 took {elapsed:.2f}s"
     _ok(f"criterion 2: 21/21 scripts, pretzel genus 5, stated ends, {elapsed:.2f}s")

@@ -88,6 +88,19 @@ def test_parse_rejects_malformed_power():
         parse_braid("x^-", 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    # Digits outside ASCII 0-9 are rejected, not read as their numeric value.
+    ("x^²", "malformed power at column 1 in 'x^²'"),
+    ("x^٣", "malformed power at column 1 in 'x^٣'"),
+    ("s²", "numeric generator needs digits at column 0: 's²'"),
+    ("s١", "numeric generator needs digits at column 0: 's١'"),
+])
+def test_parse_rejects_non_ascii_digits(text, message):
+    with pytest.raises(BraidError) as exc:
+        parse_braid(text, 3)
+    assert str(exc.value) == message
+
+
 def test_printer_round_trip():
     for text, n in [("xy^2x^2y^7", 3), ("xyXY", 3), ("X^3yx^3yzYz", 4), ("", 2)]:
         w = parse_braid(text, n)

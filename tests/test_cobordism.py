@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hatlab import braid
+from hatlab import braid, cobordism
 from hatlab.braid import (
     BraidError,
     BraidWord,
@@ -369,8 +369,22 @@ def test_to_torus_negative_generator():
 
 
 def test_to_torus_requires_knot():
-    with pytest.raises(Exception):
-        to_torus_script(BraidWord(3))
+    for w in (BraidWord(3), BraidWord(3, (2,)), BraidWord(3, (1,)), BraidWord(4, (1, 3))):
+        with pytest.raises(BraidError, match="torus scripts need a knot closure"):
+            to_torus_script(w)
+
+
+def test_to_torus_script_walks_its_inputs_permutation_twice(monkeypatch):
+    # Once to align it, which also finds that the closure is a knot, and once
+    # when the replay counts the start's components.
+    calls = []
+    real = braid.underlying_permutation
+    spy = lambda w: calls.append(w) or real(w)
+    monkeypatch.setattr(braid, "underlying_permutation", spy)
+    monkeypatch.setattr(cobordism, "underlying_permutation", spy)
+    w = parse_braid("yX^3", 3)
+    assert isinstance(to_torus_script(w).moves[0], Conjugate)
+    assert calls.count(w) == 2
 
 
 def test_to_torus_random_property():
@@ -492,10 +506,10 @@ def test_run_script_takes_each_words_permutation_once(monkeypatch):
     real = braid.underlying_permutation
     monkeypatch.setattr(braid, "underlying_permutation", lambda w: calls.append(w) or real(w))
     script = parse_script(SCRIPTS.joinpath("m8_20.txt").read_text(encoding="utf-8"))
-    end, _ = run_script(script)
-    # The start, then one per ins, stab or destab: m8_20's two cc moves and
-    # its eq carry the count forward, and only its destab recounts.
-    assert calls == [script.start, end]
+    run_script(script)
+    # The start, then one per ins: m8_20 has none, so its two cc moves, its
+    # eq and its destab all carry the start's count forward.
+    assert calls == [script.start]
 
 
 # ---------------------------------------------------------------------------

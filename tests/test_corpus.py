@@ -1,11 +1,13 @@
 """The built-in corpus: database invariants and script replay."""
 
+import importlib.resources as resources
 import json
 import os
 
 import pytest
 
 from hatlab.braid import braid_text, closure_components, equal, parse_braid
+from hatlab.cli import main
 from hatlab.corpus import load_script, replay_record, verify_corpus
 from hatlab.db import (
     DatabaseError,
@@ -54,8 +56,6 @@ def test_bad_record_aborts_with_name():
 
 
 def _raw_knots() -> list[dict]:
-    import importlib.resources as resources
-
     text = resources.files("hatlab").joinpath("data", "knots.json").read_text(encoding="utf-8")
     return json.loads(text)["knots"]
 
@@ -103,14 +103,36 @@ def test_failing_script_is_named(tmp_path):
     assert "start" in result.detail or "step" in result.detail
 
 
-def test_bad_records_become_fail_rows():
-    good = get_knot("m(8_20)")
-    missing = KnotRecord("missing", good.braid, good.slice_genus, False, "no_such_script.txt")
-    wrong_strands = KnotRecord("wrong_strands", parse_braid("x^3", 2), 1, False, good.script_ref)
-    report = verify_corpus(records=[good, missing, wrong_strands])
+def test_bad_records_become_fail_rows(tmp_path, monkeypatch, capsys):
+    good = next(obj for obj in _raw_knots() if obj["name"] == "m(8_20)")
+    records = [
+        good,
+        {**good, "name": "wrong_start", "braid": "xy"},
+        {**good, "name": "missing", "script": "no_such_script.txt"},
+        {**good, "name": "wrong_strands", "strands": 2, "braid": "x^3", "slice_genus": 1},
+    ]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"knots": records}), encoding="utf-8")
+    monkeypatch.setenv("HATLAB_DB", str(path))
+    report = verify_corpus()
     status = {r.name: r.ok for r in report.results}
-    assert status == {"m(8_20)": True, "missing": False, "wrong_strands": False}
-    assert report.summary() == "1/3 scripts replayed"
+    assert status == {"m(8_20)": True, "wrong_start": False, "missing": False,
+                      "wrong_strands": False}
+    assert all(r.end is None for r in report.results if not r.ok)
+    assert report.summary() == "1/4 scripts replayed"
+
+    missing = resources.files("hatlab").joinpath("data", "scripts", "no_such_script.txt")
+    assert main(["verify-corpus"]) == 1
+    assert capsys.readouterr().out == (
+        "name\tstatus\tbands\tgenus\tslk_start\tslk_end\tend\tdetail\n"
+        "m(8_20)\tPASS\t4\t2\t-1\t3\tx^5\t\n"
+        "missing\tFAIL\t0\t-\tNone\tNone\t\t"
+        f"[Errno 2] No such file or directory: {str(missing)!r}\n"
+        "wrong_start\tFAIL\t0\t-\tNone\tNone\t\tscript start differs from stored braid\n"
+        "wrong_strands\tFAIL\t0\t-\tNone\tNone\t\t"
+        "cannot compare words with different strand counts\n"
+        "1/4 scripts replayed\n"
+    )
 
 
 EXPECTED = {
@@ -148,10 +170,10 @@ def test_per_script_ledgers_match_expected():
     assert set(seen) == set(EXPECTED)
     for name, (end, strands, genus, s0, s1) in EXPECTED.items():
         r = seen[name]
-        assert r.end == end, name
-        assert r.end_strands == strands, name
-        assert r.genus == genus, name
-        assert (r.slk_start, r.slk_end) == (s0, s1), name
+        assert r.end == parse_braid(end, strands), name
+        assert braid_text(r.end) == end, name
+        assert r.ledger.genus == genus, name
+        assert (r.ledger.slk_start, r.ledger.slk_end) == (s0, s1), name
 
 
 def test_cobordism_genus_matches_slice_genus_gap():
@@ -166,7 +188,7 @@ def test_cobordism_genus_matches_slice_genus_gap():
         if rec.script_ref is None:
             continue
         res = report[rec.name]
-        assert res.genus == target_genus[rec.target[0]] - rec.slice_genus, rec.name
+        assert res.ledger.genus == target_genus[rec.target[0]] - rec.slice_genus, rec.name
 
 
 def test_script_start_matches_database_braid():
@@ -181,8 +203,8 @@ def test_end_slk_matches_target_closure():
     # the final closure's slk equals the value the target braid forces
     # (19 for the 22-crossing full-twist word, etc.)
     report = {r.name: r for r in verify_corpus().results}
-    assert report["12n_242"].slk_end == 19
-    assert report["m(9_46)"].slk_end == 1  # T(2,3) at maximal self-linking
+    assert report["12n_242"].ledger.slk_end == 19
+    assert report["m(9_46)"].ledger.slk_end == 1  # T(2,3) at maximal self-linking
 
 
 def test_10_140_uses_three_crossing_changes():

@@ -187,6 +187,7 @@ def test_reproduce_cover_books_output(capsys):
      "need p >= 2"),  # SearchError
     (["run-script", "{latin1}"],  # ScriptError
      "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
+    (["slk", "x^²", "--strands", "3"], "malformed power at column 1 in 'x^²'"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
@@ -293,14 +294,16 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
      "knots[1] (m(8_20)): unknown field 'slcie_genus'"),
     (_database({**_RECORD, "target": {"label": "T(2,3)", "degree": 3, "genus": 1}}),
      "knots[0] (m(8_20)): field 'target': unknown field 'genus'"),
+    (_database({**_RECORD, "name": "a"}, _RECORD, {**_RECORD, "name": "b"}, _RECORD),
+     "knots[3] (m(8_20)): name already used by knots[1]"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    with pytest.raises(DatabaseError) as exc:
-        load_db(str(path))
-    assert str(exc.value).startswith(f"{path}: {message}")
     monkeypatch.setenv("HATLAB_DB", str(path))
+    with pytest.raises(DatabaseError) as exc:
+        load_db()
+    assert str(exc.value).startswith(f"{path}: {message}")
     rc = main(["covers", "--knot", "m(8_20)", "--r", "2"])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
