@@ -43,11 +43,10 @@ def slice_genus_qp(slk: int) -> int:
 
 def hat_genus_at_degree(slk: int, d: int) -> int:
     """The genus of a degree-d projective hat for a knot with given slk."""
-    if d < 1:
-        raise BoundsError("degree must be >= 1")
+    smooth = plane_curve_genus(d)
     if slk % 2 == 0:
         raise BoundsError("self-linking numbers of knots are odd")
-    g2 = (d * d - 3 * d + 2) - (slk + 1)
+    g2 = 2 * smooth - (slk + 1)
     if g2 < 0:
         raise BoundsError(f"degree {d} is below the minimum for slk {slk}")
     return g2 // 2
@@ -63,7 +62,7 @@ def triangular_lb(g_s: int) -> tuple[int, int, int]:
         raise BoundsError("slice genus must be >= 0")
     # (d-1)(d-2)/2 >= g_s iff 2d - 3 >= sqrt(8 g_s + 1), whose ceiling is 1 + isqrt(8 g_s).
     d = 1 if g_s == 0 else (isqrt(8 * g_s) + 5) // 2
-    m = (d - 2) * (d - 1) // 2
+    m = plane_curve_genus(d)
     return m, d, m - g_s
 
 
@@ -236,14 +235,15 @@ def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport
     """Per-knot hat bounds from slk (and slice genus when quasipositive)."""
     if slk % 2 == 0:
         raise BoundsError("self-linking numbers of knots are odd")
+    # The least degree with a non-negative hat genus: (d-1)(d-2)/2 >= g_min.
+    g_min = slice_genus_qp(slk) if slk >= -1 else 0
     if slice_genus is None and slk >= -1:
-        slice_genus = slice_genus_qp(slk)
-    # The least degree with a non-negative hat genus: (d-1)(d-2) >= slk + 1.
-    d0 = triangular_lb(max(0, (slk + 1) // 2))[1]
-    if slice_genus is not None:
+        slice_genus = g_min
+    _, d0, genus_lb = triangular_lb(g_min)
+    if slice_genus is None:  # slk < -1
+        genus_lb = negbraid_hat_genus(slk)
+    elif slice_genus != g_min:
         _, d_tri, genus_lb = triangular_lb(slice_genus)
         d0 = max(d0, d_tri)
-    else:  # slk < -1
-        genus_lb = negbraid_hat_genus(slk)
     table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
     return HatBoundReport(slk, slice_genus, d0, genus_lb, table)

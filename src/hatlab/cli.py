@@ -44,15 +44,10 @@ def _cmd_eq(args) -> int:
 
 def _cmd_run_script(args) -> int:
     from .braid import braid_text
-    from .cobordism import ScriptError, parse_script, run_script
+    from .cobordism import read_script, run_script
 
     with open(args.file, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ScriptError(f"{args.file}: not UTF-8 at byte {e.start}: {e.reason}") from e
-    script = parse_script(text)
+        script = read_script(fh.read(), args.file)
     end, ledger = run_script(script)
     print(f"end: {braid_text(end)} (B_{end.strands})")
     print(f"bands: {ledger.bands}\teuler: {ledger.euler}")

@@ -1,26 +1,23 @@
 """A certified rewriting DSL for braid moves that induce symplectic cobordisms.
 
-Each move either preserves the braid closure (conjugation, cyclic
-permutation, certified rewriting, positive Markov moves) or attaches bands
-to it (inserting a positive generator, switching a negative crossing to a
-positive one, negative stabilization).  Replaying a script keeps a ledger of
-the attached bands and the induced Euler-characteristic / self-linking /
-genus accounting.
+``ins`` and ``cc`` attach bands to the braid closure and ``stab -``
+stabilizes it; every other move keeps the transverse closure.  Replaying a
+script keeps a ledger of the attached bands and the induced
+Euler-characteristic / self-linking / genus accounting.
 
 Moves are applied to the literal letter sequence; nothing is simplified
-implicitly.  A ``RewriteEqual`` step is certified against the Garside
+implicitly.  An ``eq`` step is certified against the Garside
 normal form and replay fails loudly on an uncertifiable step, so a script
 that replays is a proof of every equality it uses.  Each identity is
 certified once: ``to_torus_script`` leaves its combing unchecked and lets
 the replay of its first ``eq`` step certify it.
 
-Replay records the closure's component count after every move, which is the
-number of cycles of the word's permutation.  ``conj`` and ``cyc`` conjugate
-the permutation, a certified ``eq`` keeps it, and ``cc`` keeps it because
-sigma_i and its inverse are the same transposition; ``stab`` and ``destab`` are
-Markov moves, which keep the closure and so its component count.  Replay carries
-the count forward after these six moves and recounts it only after ``ins``.
-The self-linking at either end is the exponent sum minus the strands when the
+Replay records the closure's component count, the number of cycles of the
+word's permutation, after every move, and recounts it only after ``ins``.
+``conj`` and ``cyc`` conjugate the permutation, a certified ``eq`` keeps it,
+``cc`` keeps it because sigma_i and its inverse are the same transposition,
+and the Markov moves ``stab`` and ``destab`` keep the closure.  The
+self-linking at either end is the exponent sum minus the strands when the
 closure there is a knot.
 
 Script files are line-oriented text::
@@ -28,31 +25,37 @@ Script files are line-oriented text::
     strands: 3
     start: xy^2x^2y^7
     ins 4 y
-    cc 0 x
-    conj xyx
+    ins 4 y
     cyc 13
-    eq yxy^2xy^2xy^6
-    stab +
-    destab
-    end: xyxyxyxyxyxyxyxyxyxyxy
+    eq xyxyxyxyxy^5
 
 The headers ``strands: <int>`` and ``start: <word>`` come first, then the
 moves, then an optional ``end: <word>``; each header appears at most once.
-The moves are ``ins <position> <generator>``, ``cc <position> <generator>``,
-``conj <word>``, ``cyc <shift>``, ``eq <word>``, ``stab +`` or ``stab -``, and
-``destab``.  Positions (0-based letter indices) and shifts are integers; a
-generator is one positive letter and a word is braid text without spaces
-(``1`` is the empty word), both in the strand count current at that line.
-Blank lines and ``#`` comments are ignored; any other malformed line raises
-ScriptError with its line number.
+A move is its line, a token and its operands; in code it is the tuple
+``(token, *operands)`` with each operand read, one shape per token::
+
+    ins <position> <generator>   ("ins", position, index)   one band
+    cc <position> <generator>    ("cc", position, index)    s_i^-1 -> s_i: two bands
+    conj <word>                  ("conj", word)
+    cyc <shift>                  ("cyc", shift)
+    eq <word>                    ("eq", word)
+    stab +  or  stab -           ("stab", 1) or ("stab", -1)
+    destab                       ("destab",)
+
+Positions (0-based letter indices) and shifts are integers; a generator is
+one positive letter, read as its index, and a word is braid text without
+spaces (``1`` is the empty word), both in the strand count current at that
+line.  ``stab -`` is the transverse stabilization: the ledger flags it and
+the self-linking drops by 2.  Blank lines and ``#`` comments are ignored; any
+other malformed line raises ScriptError with its line number.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import HatlabError
 from .braid import (
@@ -83,70 +86,9 @@ class ScriptError(HatlabError):
 
 
 @dataclass(frozen=True)
-class InsertPositive:
-    """Insert sigma_index at the given position: one attached band."""
-
-    position: int
-    index: int
-
-
-@dataclass(frozen=True)
-class CrossingChange:
-    """Switch the negative letter at position to its positive mate.
-
-    Models a positive crossing change of the closure and counts as two
-    inserted crossings in the ledger.
-    """
-
-    position: int
-    index: int
-
-
-@dataclass(frozen=True)
-class Conjugate:
-    word: BraidWord
-
-
-@dataclass(frozen=True)
-class CyclicPermute:
-    k: int
-
-
-@dataclass(frozen=True)
-class RewriteEqual:
-    """Replace the word by an equal one; certified via normal forms."""
-
-    target: BraidWord
-
-
-@dataclass(frozen=True)
-class MarkovStabilize:
-    """sign=+1 keeps the transverse closure; sign=-1 is the transverse
-    stabilization (flagged in the ledger, self-linking drops by 2)."""
-
-    sign: int
-
-
-@dataclass(frozen=True)
-class MarkovDestabilize:
-    pass
-
-
-Move = Union[
-    InsertPositive,
-    CrossingChange,
-    Conjugate,
-    CyclicPermute,
-    RewriteEqual,
-    MarkovStabilize,
-    MarkovDestabilize,
-]
-
-
-@dataclass(frozen=True)
 class MoveScript:
     start: BraidWord
-    moves: tuple[Move, ...] = ()
+    moves: tuple[tuple, ...] = ()
     declared_end: Optional[BraidWord] = None
 
 
@@ -197,12 +139,9 @@ class CobordismLedger:
                 )
 
 
-def apply_move(w: BraidWord, move: Move) -> BraidWord:
+def apply_move(w: BraidWord, move: tuple) -> BraidWord:
     """Apply a single move to a word; raises ScriptError on any violation."""
-    action = _ACTIONS.get(type(move))
-    if action is None:
-        raise ScriptError(f"unknown move {move!r}")
-    return action(w, move)
+    return _row(move)[2](w, *move[1:])
 
 
 def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
@@ -213,33 +152,25 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
     ends are knots.
     """
     w = script.start
-    kinds = Counter(map(type, script.moves))
-    ledger = CobordismLedger(kinds[CrossingChange], kinds[InsertPositive],
-                             script.moves.count(MarkovStabilize(-1)))
-    trace = ledger.component_trace
-    trace.append(closure_components(w))
+    trace = [closure_components(w)]
     for step, move in enumerate(script.moves):
         try:
             w = apply_move(w, move)
         except (ScriptError, BraidError) as e:
-            raise ScriptError(f"step {step} ({move!r}): {e}") from e
-        trace.append(closure_components(w) if type(move) is InsertPositive else trace[-1])
-    # Self-linking of a knot closure: exponent sum minus strands.
-    if trace[0] == 1:
-        ledger.slk_start = exponent_sum(script.start) - script.start.strands
-    if trace[-1] == 1:
-        ledger.slk_end = exponent_sum(w) - w.strands
-    if script.declared_end is not None:
-        if script.declared_end.strands != w.strands:
-            raise ScriptError(
-                f"declared end lives in B_{script.declared_end.strands}, "
-                f"script ends in B_{w.strands}"
-            )
-        if not equal(w, script.declared_end):
-            raise ScriptError(
-                f"final word {braid_text(w)} not equal to declared end "
-                f"{braid_text(script.declared_end)}"
-            )
+            raise ScriptError(f"step {step} ({_move_text(move)}): {e}") from e
+        trace.append(closure_components(w) if move[0] == "ins" else trace[-1])
+    # Every move is well formed now, so each has a token to count.  The
+    # self-linking of a knot closure is its exponent sum minus its strands.
+    kinds = Counter(m[0] for m in script.moves)
+    ledger = CobordismLedger(
+        kinds["cc"], kinds["ins"], script.moves.count(("stab", -1)),
+        exponent_sum(script.start) - script.start.strands if trace[0] == 1 else None,
+        exponent_sum(w) - w.strands if trace[-1] == 1 else None, trace)
+    end = script.declared_end
+    if end is not None and end.strands != w.strands:
+        raise ScriptError(f"declared end lives in B_{end.strands}, script ends in B_{w.strands}")
+    if end is not None and not equal(w, end):
+        raise ScriptError(f"final word {braid_text(w)} not equal to declared end {braid_text(end)}")
     ledger.check_consistency()
     return w, ledger
 
@@ -248,9 +179,9 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 # The move table and the script file format
 # ---------------------------------------------------------------------------
 # Each operand kind has one reader (token, current strand count -> value) and
-# one writer (value -> token); each move has one action (word, move -> word).
-# They call braid functions through the module names at call time, so a
-# wrapper bound to those names sees every call.
+# one writer (value -> token); each move has one action (word, *operands ->
+# word).  ``equal`` and ``parse_braid`` are called through the module names at
+# call time, so a wrapper bound to those names sees every call.
 
 def _read_int(token: str, strands: int) -> int:
     if not re.fullmatch(r"-?[0-9]+", token):
@@ -282,56 +213,49 @@ def _read_word(token: str, strands: int) -> BraidWord:
 
 
 _INT = (_read_int, str)
-_GENERATOR = (_read_generator, lambda i: _letter_name(i, True))
+# The writers print an operand out of range as it is, so that an error names it.
+_GENERATOR = (_read_generator, lambda i: _letter_name(i, True) if i > 0 else f"s{i}")
 _WORD = (_read_word, lambda w: braid_text(w) or "1")
-_SIGN = (_read_sign, lambda sign: "+" if sign == 1 else "-")
+_SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)))
 
 
-def _insert(w: BraidWord, move: InsertPositive) -> BraidWord:
-    if not (0 <= move.position <= len(w.letters)):
-        raise ScriptError(f"insert position {move.position} out of range")
-    if not (1 <= move.index < w.strands):
-        raise ScriptError(f"insert index {move.index} out of range")
-    letters = w.letters[:move.position] + (move.index,) + w.letters[move.position:]
-    return _word(w.strands, letters)
+def _insert(w: BraidWord, position: int, index: int) -> BraidWord:
+    if not (0 <= position <= len(w.letters)):
+        raise ScriptError(f"insert position {position} out of range")
+    if not (1 <= index < w.strands):
+        raise ScriptError(f"insert index {index} out of range")
+    return _word(w.strands, w.letters[:position] + (index,) + w.letters[position:])
 
 
-def _crossing_change(w: BraidWord, move: CrossingChange) -> BraidWord:
-    if not (0 <= move.position < len(w.letters)):
-        raise ScriptError(f"crossing-change position {move.position} out of range")
-    if w.letters[move.position] != -move.index:
+def _crossing_change(w: BraidWord, position: int, index: int) -> BraidWord:
+    if not (0 <= position < len(w.letters)):
+        raise ScriptError(f"crossing-change position {position} out of range")
+    if w.letters[position] != -index:
         raise ScriptError(
-            f"crossing change expects sigma_{move.index}^-1 at position "
-            f"{move.position}, found letter {w.letters[move.position]}"
+            f"crossing change expects sigma_{index}^-1 at position "
+            f"{position}, found letter {w.letters[position]}"
         )
-    p = move.position
-    return _word(w.strands, w.letters[:p] + (move.index,) + w.letters[p + 1:])
+    return _word(w.strands, w.letters[:position] + (index,) + w.letters[position + 1:])
 
 
-def _rewrite(w: BraidWord, move: RewriteEqual) -> BraidWord:
-    if move.target.strands != w.strands:
+def _rewrite(w: BraidWord, target: BraidWord) -> BraidWord:
+    if target.strands != w.strands:
         raise ScriptError("rewrite target has wrong strand count")
-    if not equal(w, move.target):
-        raise ScriptError(
-            f"uncertifiable rewrite: {braid_text(w)} != {braid_text(move.target)}"
-        )
-    return move.target
+    if not equal(w, target):
+        raise ScriptError(f"uncertifiable rewrite: {braid_text(w)} != {braid_text(target)}")
+    return target
 
 
-# token -> (move class, operand kinds in field order, strand change, action)
+# token -> (operand kinds in script order, strand change, action)
 _MOVES = {
-    "ins": (InsertPositive, (_INT, _GENERATOR), 0, _insert),
-    "cc": (CrossingChange, (_INT, _GENERATOR), 0, _crossing_change),
-    "conj": (Conjugate, (_WORD,), 0, lambda w, move: conjugate(w, move.word)),
-    "cyc": (CyclicPermute, (_INT,), 0, lambda w, move: cyclic_permute(w, move.k)),
-    "eq": (RewriteEqual, (_WORD,), 0, _rewrite),
-    "stab": (MarkovStabilize, (_SIGN,), 1, lambda w, move: markov_stabilize(w, move.sign)),
-    "destab": (MarkovDestabilize, (), -1, lambda w, move: markov_destabilize(w)),
+    "ins": ((_INT, _GENERATOR), 0, _insert),
+    "cc": ((_INT, _GENERATOR), 0, _crossing_change),
+    "conj": ((_WORD,), 0, conjugate),
+    "cyc": ((_INT,), 0, cyclic_permute),
+    "eq": ((_WORD,), 0, _rewrite),
+    "stab": ((_SIGN,), 1, markov_stabilize),
+    "destab": ((), -1, markov_destabilize),
 }
-# A move's operands as (field name, writer) pairs, in field order.
-_TOKENS = {cls: (token, [(f.name, write) for f, (_, write) in zip(fields(cls), kinds)])
-           for token, (cls, kinds, _, _) in _MOVES.items()}
-_ACTIONS = {cls: action for cls, _, _, action in _MOVES.values()}
 # Headers in the order they must appear; each appears at most once.
 _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 
@@ -339,7 +263,7 @@ _HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
 def parse_script(text: str) -> MoveScript:
     """Read a script file; a malformed line raises ScriptError with its line number."""
     headers: dict = {}
-    moves: list[Move] = []
+    moves: list[tuple] = []
     strands = 0
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, 1):
@@ -366,10 +290,10 @@ def parse_script(text: str) -> MoveScript:
             token, *operands = line.split()
             if token not in _MOVES:
                 raise ScriptError(f"unknown move {token!r}")
-            cls, kinds, strand_change, _ = _MOVES[token]
+            kinds, strand_change, _ = _MOVES[token]
             if len(operands) != len(kinds):
                 raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
-            moves.append(cls(*(read(t, strands) for t, (read, _) in zip(operands, kinds))))
+            moves.append((token, *(read(t, strands) for t, (read, _) in zip(operands, kinds))))
             strands += strand_change
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"line {lineno}: {e}") from e
@@ -378,11 +302,36 @@ def parse_script(text: str) -> MoveScript:
     return MoveScript(headers["start"], tuple(moves), headers.get("end"))
 
 
+def read_script(data: bytes, source: str) -> MoveScript:
+    """Parse a script file's bytes; bytes that are not UTF-8 raise ScriptError
+    naming ``source`` and their offset."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScriptError(f"{source}: not UTF-8 at byte {e.start}: {e.reason}") from e
+    return parse_script(text)
+
+
+def _row(move) -> tuple:
+    """The ``_MOVES`` row of a move ``(token, *operands)``; ScriptError for anything else."""
+    row = _MOVES.get(move[0]) if type(move) is tuple and move and type(move[0]) is str else None
+    if row is None or len(move) != len(row[0]) + 1:
+        raise ScriptError(f"unknown move {move!r}")
+    return row
+
+
+def _move_text(move) -> str:
+    """A move as its script line; anything else, as its repr."""
+    try:
+        kinds = _row(move)[0]
+    except ScriptError:
+        return repr(move)
+    return " ".join([move[0], *(write(v) for (_, write), v in zip(kinds, move[1:]))])
+
+
 def serialize_script(script: MoveScript) -> str:
     lines = [f"strands: {script.start.strands}", f"start: {braid_text(script.start)}"]
-    for move in script.moves:
-        token, operands = _TOKENS[type(move)]
-        lines.append(" ".join([token, *(write(getattr(move, name)) for name, write in operands)]))
+    lines += map(_move_text, script.moves)
     if script.declared_end is not None:
         lines.append(f"end: {braid_text(script.declared_end)}")
     return "\n".join(lines) + "\n"
@@ -463,19 +412,19 @@ def to_torus_script(w: BraidWord) -> MoveScript:
     """
     n = w.strands
     beta0 = BraidWord(n, tuple(range(1, n)))
-    moves: list[Move] = []
+    moves: list[tuple] = []
     cur = w
     c = _aligning_conjugator(w)
     if c.letters:
-        moves.append(Conjugate(c))
+        moves.append(("conj", c))
         cur = conjugate(cur, c)
 
     # cur's permutation is beta0's, so beta0^-1 cur is pure.  The factors are
     # not checked here: run_script below certifies cur == beta0 * factors in
-    # this RewriteEqual step, the one certification of the combing.
+    # this eq step, the one certification of the combing.
     factors = _comb(n, list(free_reduce(inverse(beta0) * cur).letters))
     stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
-    moves.append(RewriteEqual(stage1))
+    moves.append(("eq", stage1))
 
     # Work right to left so earlier offsets survive the insertions.
     twist = full_twist(n).letters
@@ -487,16 +436,16 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         mid = off + k
         if f[k] < 0:
             # u s^-2 u^-1: insert the cancelling square right after it.
-            moves += [InsertPositive(mid + 2, -f[k])] * 2
+            moves += [("ins", mid + 2, -f[k])] * 2
         else:
             # u s_j^2 u^-1: s_j^2 is the letters j-1 and n+j-2 of the full
             # twist (s1...s_{n-1})^n; insert the others in order around it.
             positive += 1
-            moves += [InsertPositive(mid + t, g) for t, g in enumerate(twist)
+            moves += [("ins", mid + t, g) for t, g in enumerate(twist)
                       if t not in (f[k] - 1, n + f[k] - 2)]
 
     end = BraidWord(n, beta0.letters + twist * positive)
-    moves.append(RewriteEqual(end))
+    moves.append(("eq", end))
     script = MoveScript(start=w, moves=tuple(moves), declared_end=end)
     run_script(script)  # certify before handing out
     return script

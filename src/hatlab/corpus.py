@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Optional
 
 from .braid import BraidError, BraidWord, equal
-from .cobordism import CobordismLedger, MoveScript, ScriptError, parse_script, run_script
+from .cobordism import CobordismLedger, MoveScript, ScriptError, read_script, run_script
 from .db import KnotRecord, load_db
 
 
@@ -44,8 +44,8 @@ class CorpusReport:
 
 
 def load_script(ref: str) -> MoveScript:
-    path = resources.files("hatlab").joinpath("data", "scripts", ref)
-    return parse_script(path.read_text(encoding="utf-8"))
+    """Parse ``data/scripts/<ref>``; ``load_db`` has checked that ref is a bare file name."""
+    return read_script(resources.files("hatlab").joinpath("data", "scripts", ref).read_bytes(), ref)
 
 
 def replay_record(rec: KnotRecord) -> ScriptResult:

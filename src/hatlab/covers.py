@@ -78,26 +78,26 @@ def cy_cover_test(r: int, surface: str, degree: Degree) -> bool:
     return canonical_vanishes and chi == 24
 
 
-_FORM_TABLE = {
-    (12, -8): "E8+2H",
-    (10, -8): "E8+H",
-    (8, -8): "E8",
-    (4, 0): "2H",
-    (2, 0): "H",
-    (0, 0): "0",
-}
-
-
 def form_label(rank: int, signature: int) -> str:
-    """Label of the unimodular form with this rank and signature, when the
-    pair appears in the recorded constructions; otherwise 'undetermined'.
+    """Label of the even unimodular form with this rank and a signature <= 0,
+    when the two determine it; otherwise 'undetermined'.
 
     Only K3 caps are labelled.  A cap bounded by an integral homology sphere
-    is an orthogonal summand of the even K3 lattice, so its form is even.
+    is an orthogonal summand of the even K3 lattice, so its form is even.  An
+    even unimodular form has signature divisible by 8.  An indefinite one is
+    (-signature/8) E8 + ((rank+signature)/2) H, with E8 negative definite
+    (Serre, *A Course in Arithmetic*, ch. V), and so is the definite one of
+    rank 8, E8; from rank 16 on, a definite rank holds more than one form.
     """
     if abs(signature) > rank or (rank - signature) % 2:
         raise CoverError(f"no unimodular form has rank {rank}, signature {signature}")
-    return _FORM_TABLE.get((rank, signature), "undetermined")
+    if rank == 0:
+        return "0"
+    definite = -signature == rank
+    if signature > 0 or signature % 8 or (definite and rank != 8):
+        return "undetermined"
+    e8, h = -signature // 8, (rank + signature) // 2
+    return "+".join(f"{'' if n == 1 else n}{name}" for n, name in ((e8, "E8"), (h, "H")) if n)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ The database lives in ``data/knots.json``, one JSON object per record,
 and :func:`load_db` is its only reader; hatlab never writes it.  Setting
 ``HATLAB_DB`` to an external UTF-8 file with the same layout is the only way
 to read another database; a record field outside that layout is an error, not
-ignored, and so is a repeated knot name.
+ignored, and so is a repeated knot name or a ``script`` that is not a bare
+file name under ``data/scripts/``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def _record_from_json(obj, where: str) -> KnotRecord:
     if type(obj) is dict and type(obj.get("name")) is str:
         where += f" ({obj['name']})"
     _check_fields(obj, _FIELDS, where)
+    script = obj.get("script")
+    if script is not None and (script in ("", ".", "..") or "/" in script or "\\" in script):
+        raise DatabaseError(f"{where}: field 'script' is {script!r}, expected a bare file name")
     target = obj.get("target")
     if target is not None:
         _check_fields(target, {"label": (str,), "degree": (int,)}, f"{where}: field 'target'")
@@ -81,7 +85,7 @@ def _record_from_json(obj, where: str) -> KnotRecord:
     except BraidError as e:
         raise DatabaseError(f"{where}: field 'braid': {e}") from e
     return KnotRecord(obj["name"], braid, obj["slice_genus"], obj["determinant_one"],
-                      obj.get("script"), target, obj.get("note") or "")
+                      script, target, obj.get("note") or "")
 
 
 def check_record(rec: KnotRecord) -> None:

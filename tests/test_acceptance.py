@@ -189,7 +189,7 @@ def test_criterion_8_offline_property_suites():
         assert sorted(underlying_permutation(cyclic_permute(w, 3))) == list(range(n))
 
     # ledger slk/euler consistency on random crossing-change scripts
-    from hatlab.cobordism import CrossingChange, InsertPositive, MoveScript, run_script
+    from hatlab.cobordism import MoveScript, run_script
 
     for _ in range(50):
         n = rng.randint(2, 4)
@@ -203,10 +203,9 @@ def test_criterion_8_offline_property_suites():
             negs = [j for j, g in enumerate(cur.letters) if g < 0]
             if negs and rng.random() < 0.5:
                 j = rng.choice(negs)
-                moves.append(CrossingChange(j, -cur.letters[j]))
+                moves.append(("cc", j, -cur.letters[j]))
             else:
-                moves.append(InsertPositive(rng.randint(0, len(cur.letters)),
-                                            rng.randint(1, n - 1)))
+                moves.append(("ins", rng.randint(0, len(cur.letters)), rng.randint(1, n - 1)))
             from hatlab.cobordism import apply_move
             cur = apply_move(cur, moves[-1])
         end, ledger = run_script(MoveScript(start=w, moves=tuple(moves)))

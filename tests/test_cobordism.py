@@ -24,14 +24,7 @@ from hatlab.braid import (
     underlying_permutation,
 )
 from hatlab.cobordism import (
-    Conjugate,
-    CrossingChange,
-    CyclicPermute,
-    InsertPositive,
-    MarkovDestabilize,
-    MarkovStabilize,
     MoveScript,
-    RewriteEqual,
     ScriptError,
     _aligning_conjugator,
     apply_move,
@@ -58,7 +51,7 @@ def test_empty_script_is_identity_cobordism():
 
 def test_insert_positive_counts_one_band():
     w = parse_braid("x^3", 2)
-    script = MoveScript(start=w, moves=(InsertPositive(1, 1),))
+    script = MoveScript(start=w, moves=(("ins", 1, 1),))
     end, ledger = run_script(script)
     assert end == parse_braid("x^4", 2)
     assert ledger.bands == 1
@@ -67,7 +60,7 @@ def test_insert_positive_counts_one_band():
 
 def test_crossing_change_counts_two_bands():
     w = parse_braid("xXx", 2)
-    script = MoveScript(start=w, moves=(CrossingChange(1, 1),))
+    script = MoveScript(start=w, moves=(("cc", 1, 1),))
     end, ledger = run_script(script)
     assert end == parse_braid("x^3", 2)
     assert ledger.bands == 2
@@ -78,15 +71,15 @@ def test_crossing_change_counts_two_bands():
 def test_crossing_change_requires_negative_letter():
     w = parse_braid("x^3", 2)
     with pytest.raises(ScriptError):
-        apply_move(w, CrossingChange(0, 1))
+        apply_move(w, ("cc", 0, 1))
 
 
 def test_positions_out_of_range():
     w = parse_braid("x^3", 2)
     with pytest.raises(ScriptError):
-        apply_move(w, InsertPositive(7, 1))
+        apply_move(w, ("ins", 7, 1))
     with pytest.raises(ScriptError):
-        apply_move(w, CrossingChange(5, 1))
+        apply_move(w, ("cc", 5, 1))
 
 
 def test_apply_move_rejects_unknown_move():
@@ -96,30 +89,53 @@ def test_apply_move_rejects_unknown_move():
 
 def test_rewrite_equal_certifies():
     w = parse_braid("xyx", 3)
-    assert apply_move(w, RewriteEqual(parse_braid("yxy", 3))) == parse_braid("yxy", 3)
+    assert apply_move(w, ("eq", parse_braid("yxy", 3))) == parse_braid("yxy", 3)
     with pytest.raises(ScriptError):
-        apply_move(w, RewriteEqual(parse_braid("xxy", 3)))
+        apply_move(w, ("eq", parse_braid("xxy", 3)))
+
+
+# A failing step of each move kind on xyxy in B_3, with the exact error: the
+# step's index and its script line.  A cyc applies with any integer shift, so
+# it only leads up to a failing eq here.
+_STEP_ERRORS = [
+    ([("cyc", 1), ("eq", parse_braid("x^3", 3))],
+     "step 1 (eq x^3): uncertifiable rewrite: yxyx != x^3"),
+    ([("eq", BraidWord(3))], "step 0 (eq 1): uncertifiable rewrite: xyxy != "),
+    ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target has wrong strand count"),
+    ([("ins", 5, 1)], "step 0 (ins 5 x): insert position 5 out of range"),
+    ([("ins", 0, 3)], "step 0 (ins 0 z): insert index 3 out of range"),
+    ([("ins", 0, 0)], "step 0 (ins 0 s0): insert index 0 out of range"),
+    ([("cc", 0, 1)],
+     "step 0 (cc 0 x): crossing change expects sigma_1^-1 at position 0, found letter 1"),
+    ([("cc", 4, 2)], "step 0 (cc 4 y): crossing-change position 4 out of range"),
+    ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts"),
+    ([("stab", 2)], "step 0 (stab 2): stabilization sign must be +1 or -1"),
+    ([("destab",)], "step 0 (destab): destabilization needs exactly one sigma_2 letter, found 2"),
+    ([("stab", -1), ("destab",)],
+     "step 1 (destab): destabilization needs the last-strand letter to be positive"),
+] + [
+    # What is not one of the seven moves is named by its repr.
+    ([("cyc", 1), move], f"step 1 ({move!r}): unknown move {move!r}")
+    for move in [("bogus", 1), ("ins", 1), ("destab", 1), "ins 0 x", (), 5, (["ins"], 0, 1)]
+]
 
 
 def test_uncertifiable_step_reports_index():
-    script = MoveScript(
-        start=parse_braid("xyx", 3),
-        moves=(CyclicPermute(1), RewriteEqual(parse_braid("x^3", 3))),
-    )
-    with pytest.raises(ScriptError) as exc:
-        run_script(script)
-    assert "step 1" in str(exc.value)
+    for moves, message in _STEP_ERRORS:
+        with pytest.raises(ScriptError) as exc:
+            run_script(MoveScript(start=parse_braid("xyxy", 3), moves=tuple(moves)))
+        assert str(exc.value) == message
 
 
 def test_destabilization_precondition_in_scripts():
-    script = MoveScript(start=parse_braid("xyxy", 3), moves=(MarkovDestabilize(),))
+    script = MoveScript(start=parse_braid("xyxy", 3), moves=(("destab",),))
     with pytest.raises(ScriptError):
         run_script(script)
 
 
 def test_negative_stabilization_is_flagged():
     w = parse_braid("x^3", 2)
-    script = MoveScript(start=w, moves=(MarkovStabilize(-1),))
+    script = MoveScript(start=w, moves=(("stab", -1),))
     end, ledger = run_script(script)
     assert end == parse_braid("x^3Y", 3)
     assert ledger.stabilized
@@ -160,14 +176,23 @@ def test_script_file_round_trip():
         "ins 4 y\n"
         "cc 0 x\n"
         "conj xyx\n"
+        "conj 1\n"
         "cyc 3\n"
+        "cyc -3\n"
         "eq yxy^2xy^2xy^6\n"
         "stab +\n"
+        "stab -\n"
+        "destab\n"
         "destab\n"
         "end: xy^2xy^2xy^6x\n"
     )
     # not a runnable script (the cc has no negative letter); parse/serialize only
     script = parse_script(text)
+    assert script.moves == (
+        ("ins", 4, 2), ("ins", 4, 2), ("cc", 0, 1), ("conj", parse_braid("xyx", 3)),
+        ("conj", BraidWord(3)), ("cyc", 3), ("cyc", -3), ("eq", parse_braid("yxy^2xy^2xy^6", 3)),
+        ("stab", 1), ("stab", -1), ("destab",), ("destab",),
+    )
     assert serialize_script(script) == text
     for path in SCRIPTS.iterdir():
         corpus_text = path.read_text()
@@ -189,19 +214,18 @@ def _move_scripts(draw):
         kinds = ["conj", "cyc", "eq", "stab"] + (["ins", "cc", "destab"] if n > 1 else [])
         kind = draw(st.sampled_from(kinds))
         if kind in ("ins", "cc"):
-            cls = InsertPositive if kind == "ins" else CrossingChange
-            moves.append(cls(draw(st.integers(0, 40)), draw(st.integers(1, n - 1))))
+            moves.append((kind, draw(st.integers(0, 40)), draw(st.integers(1, n - 1))))
         elif kind == "conj":
-            moves.append(Conjugate(word(n)))
+            moves.append(("conj", word(n)))
         elif kind == "cyc":
-            moves.append(CyclicPermute(draw(st.integers(-40, 40))))
+            moves.append(("cyc", draw(st.integers(-40, 40))))
         elif kind == "eq":
-            moves.append(RewriteEqual(word(n)))
+            moves.append(("eq", word(n)))
         elif kind == "stab":
-            moves.append(MarkovStabilize(draw(st.sampled_from([1, -1]))))
+            moves.append(("stab", draw(st.sampled_from([1, -1]))))
             n += 1
         else:
-            moves.append(MarkovDestabilize())
+            moves.append(("destab",))
             n -= 1
     end = word(n) if draw(st.booleans()) else None
     return MoveScript(start=start, moves=tuple(moves), declared_end=end)
@@ -282,22 +306,22 @@ def _random_script(rng):
         if kind == 0:
             pos = rng.randint(0, len(cur.letters))
             idx = rng.randint(1, cur.strands - 1)
-            moves.append(InsertPositive(pos, idx))
+            moves.append(("ins", pos, idx))
         elif kind == 1:
             negs = [j for j, g in enumerate(cur.letters) if g < 0]
             if not negs:
                 continue
             j = rng.choice(negs)
-            moves.append(CrossingChange(j, -cur.letters[j]))
+            moves.append(("cc", j, -cur.letters[j]))
         elif kind == 2:
-            moves.append(CyclicPermute(rng.randint(0, max(1, len(cur.letters)))))
+            moves.append(("cyc", rng.randint(0, max(1, len(cur.letters)))))
         else:
             c = BraidWord(cur.strands, tuple(
                 rng.choice([i for i in range(1, cur.strands)]
                            + [-i for i in range(1, cur.strands)])
                 for _ in range(rng.randint(0, 3))
             ))
-            moves.append(Conjugate(c))
+            moves.append(("conj", c))
         cur = apply_move(cur, moves[-1])
     return MoveScript(start=w, moves=tuple(moves))
 
@@ -383,7 +407,7 @@ def test_to_torus_script_walks_its_inputs_permutation_twice(monkeypatch):
     monkeypatch.setattr(braid, "underlying_permutation", spy)
     monkeypatch.setattr(cobordism, "underlying_permutation", spy)
     w = parse_braid("yX^3", 3)
-    assert isinstance(to_torus_script(w).moves[0], Conjugate)
+    assert to_torus_script(w).moves[0][0] == "conj"
     assert calls.count(w) == 2
 
 
@@ -428,14 +452,14 @@ def test_positive_square_grows_into_the_literal_full_twist(n):
     for k in range(1, n):
         start = BraidWord(n, beta0 + (k, k))
         stage1, *inserts, last = to_torus_script(start).moves
-        assert stage1 == RewriteEqual(start)
+        assert stage1 == ("eq", start)
         assert len(inserts) == n * (n - 1) - 2
         w = start
         for move in inserts:
-            assert isinstance(move, InsertPositive)
+            assert move[0] == "ins"
             w = apply_move(w, move)
         assert w.letters == beta0 + twist, (n, k)
-        assert last == RewriteEqual(w)
+        assert last == ("eq", w)
 
 
 # (braid, strands, full twists m in the end word, bands, moves) of seeded braids.
@@ -526,26 +550,26 @@ def _adaptive_script(rng):
         n = cur.strands
         kind = rng.choice(["ins", "cc", "conj", "cyc", "eq", "stab", "destab"] if n > 1 else ["stab"])
         if kind == "ins":
-            move = InsertPositive(rng.randint(0, len(cur)), rng.randint(1, n - 1))
+            move = ("ins", rng.randint(0, len(cur)), rng.randint(1, n - 1))
         elif kind == "cc":
             negs = [j for j, g in enumerate(cur.letters) if g < 0]
             if not negs:
                 continue
             j = rng.choice(negs)
-            move = CrossingChange(j, -cur.letters[j])
+            move = ("cc", j, -cur.letters[j])
         elif kind == "conj":
-            move = Conjugate(BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                                                for _ in range(rng.randint(0, 3)))))
+            move = ("conj", BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                               for _ in range(rng.randint(0, 3)))))
         elif kind == "cyc":
-            move = CyclicPermute(rng.randint(-5, 5))
+            move = ("cyc", rng.randint(-5, 5))
         elif kind == "eq":
             # insert a cancelling pair: the same braid, spelled differently
             j, g = rng.randint(0, len(cur)), rng.randint(1, n - 1)
-            move = RewriteEqual(BraidWord(n, cur.letters[:j] + (g, -g) + cur.letters[j:]))
+            move = ("eq", BraidWord(n, cur.letters[:j] + (g, -g) + cur.letters[j:]))
         elif kind == "stab":
-            move = MarkovStabilize(rng.choice([1, -1]))
+            move = ("stab", rng.choice([1, -1]))
         elif sum(g == n - 1 for g in cur.letters) == 1 and -(n - 1) not in cur.letters:
-            move = MarkovDestabilize()
+            move = ("destab",)
         else:
             continue
         cur = apply_move(cur, move)
@@ -579,7 +603,7 @@ def test_component_trace_matches_every_intermediate_word():
             w = apply_move(w, move)
             assert type(w.letters) is tuple and BraidWord(w.strands, w.letters) == w
             expect.append(closure_components(w))
-            kinds.add(move if isinstance(move, MarkovStabilize) else type(move))
+            kinds.add(move if move[0] == "stab" else move[0])
         end, ledger = run_script(script)
         assert end == w
         assert ledger.component_trace == expect, serialize_script(script)

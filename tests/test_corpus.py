@@ -103,6 +103,17 @@ def test_failing_script_is_named(tmp_path):
     assert "start" in result.detail or "step" in result.detail
 
 
+def test_script_file_that_is_not_utf8_fails_with_its_offset(tmp_path, monkeypatch):
+    # load_script reads a script's bytes with the reader run-script uses.
+    rec = get_knot("m(8_20)")
+    scripts = tmp_path / "data" / "scripts"
+    scripts.mkdir(parents=True)
+    (scripts / "latin1.txt").write_bytes(b"strands: 3\nstart: x\xe9\n")
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    result = replay_record(KnotRecord(rec.name, rec.braid, 0, False, "latin1.txt"))
+    assert result.detail == "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"
+
+
 def test_bad_records_become_fail_rows(tmp_path, monkeypatch, capsys):
     good = next(obj for obj in _raw_knots() if obj["name"] == "m(8_20)")
     records = [

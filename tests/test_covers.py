@@ -102,7 +102,7 @@ def test_books_t37():
 def test_books_rational_ball_case():
     books = double_cover_books(0, 0)
     assert (books.b2_filling, books.b2_cap, books.sigma_cap) == (0, 22, -16)
-    assert books.form == "undetermined"
+    assert books.form == "2E8+3H"  # the whole K3 lattice
 
 
 def test_books_conserve_rank_and_signature():
@@ -129,7 +129,11 @@ def test_form_labels():
     assert form_label(4, 0) == "2H"
     assert form_label(2, 0) == "H"
     assert form_label(1, -1) == "undetermined"  # odd: never the form of a K3 cap
-    assert form_label(22, -16) == "undetermined"
+    assert form_label(22, -16) == "2E8+3H"
+    assert form_label(0, 0) == "0"
+    assert form_label(8, 0) == "4H"
+    assert form_label(16, -16) == "undetermined"  # E8+E8 and D16+ share rank and signature
+    assert form_label(10, 2) == "undetermined"  # odd
     with pytest.raises(CoverError):
         form_label(3, -8)
     with pytest.raises(CoverError):

@@ -188,13 +188,17 @@ def test_reproduce_cover_books_output(capsys):
     (["run-script", "{latin1}"],  # ScriptError
      "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
     (["slk", "x^²", "--strands", "3"], "malformed power at column 1 in 'x^²'"),
+    (["run-script", "{bad_step}"], "step 0 (ins 5 x): insert position 5 out of range"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("strands: 3\nstart: xy\nstab q\n")
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"strands: 3\nstart: x\xe9\n")
-    paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1}
+    bad_step = tmp_path / "bad_step.txt"
+    bad_step.write_text("strands: 3\nstart: xy\nins 5 x\n")
+    paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1,
+             "bad_step": bad_step}
     rc = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
@@ -296,6 +300,12 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
      "knots[0] (m(8_20)): field 'target': unknown field 'genus'"),
     (_database({**_RECORD, "name": "a"}, _RECORD, {**_RECORD, "name": "b"}, _RECORD),
      "knots[3] (m(8_20)): name already used by knots[1]"),
+    # A script names a file under data/scripts/ and nothing outside it.
+    (_database({**_RECORD, "script": "../../../../../../../../usr/bin/env"}),
+     "knots[0] (m(8_20)): field 'script' is '../../../../../../../../usr/bin/env', "
+     "expected a bare file name"),
+    (_database(_RECORD, {**_RECORD, "name": "b", "script": "../knots.json"}),
+     "knots[1] (b): field 'script' is '../knots.json', expected a bare file name"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
