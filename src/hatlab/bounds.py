@@ -12,10 +12,11 @@ closed form by ``triangular_lb`` through an integer square root of the
 discriminant 8g + 1, never floats or a search.
 
 Upper bounds come from recorded witness constructions (external curves and
-crossing-change upgrades of them); those are declarative data with
-provenance strings, loaded from ``data/witnesses.json`` and checked against
-the degree/genus relation on load.  The bounds code never hard-codes a
-witness.
+crossing-change upgrades of them); those are declarative rows with
+provenance strings in ``data/witnesses.json``.  ``load_witnesses`` returns
+the file's sections as their JSON rows, after checking each
+``t2_witnesses`` row against the degree/genus relation.  The bounds code
+never hard-codes a witness.
 """
 
 from __future__ import annotations
@@ -136,58 +137,20 @@ def singular_genus_budget(d: int, sing_genera: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Witness database and the T(2,2k+1) table
+# Witness records and the T(2,2k+1) table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Witness:
-    degree: int
-    genus: int
-    source: str
-
-
-@dataclass(frozen=True)
-class WitnessDB:
-    t2_witnesses: dict[int, Witness]            # k -> best recorded hat
-    t2_lower_upgrades: dict[int, tuple[int, str]]  # k -> (bound, source)
-    cover_targets: list[dict]                   # K3 presentations vs targets
-    filling_signatures: dict[str, dict]         # knot -> recorded filling
-    curve_exclusions: list[dict]                # classes excluded by recorded
-                                                # filling obstructions
-
-
 @cache
-def load_witnesses() -> WitnessDB:
-    """Parse and check ``data/witnesses.json`` once; callers share the result."""
+def load_witnesses() -> dict[str, list]:
+    """The sections of ``data/witnesses.json`` as their JSON rows, parsed and
+    checked once; callers share the result and must not change it."""
     payload = json.loads(
         resources.files("hatlab").joinpath("data", "witnesses.json").read_text(encoding="utf-8")
     )
-    t2 = {}
     for row in payload["t2_witnesses"]:
-        k = row["k"]
-        w = Witness(row["degree"], row["genus"], row["source"])
-        slk = 2 * k - 1
-        if hat_genus_at_degree(slk, w.degree) != w.genus:
-            raise BoundsError(
-                f"t2 witness for k={k} violates the degree/genus relation"
-            )
-        t2[k] = w
-    ups = {
-        row["k"]: (row["bound"], row["source"])
-        for row in payload["t2_lower_bound_upgrades"]
-    }
-    return WitnessDB(
-        t2_witnesses=t2,
-        t2_lower_upgrades=ups,
-        cover_targets=[
-            {**row, "degree": tuple(d) if isinstance(d := row["degree"], list) else d}
-            for row in payload.get("cover_targets", [])
-        ],
-        filling_signatures={
-            row["knot"]: row for row in payload.get("filling_signatures", [])
-        },
-        curve_exclusions=payload.get("curve_class_exclusions", []),
-    )
+        if hat_genus_at_degree(2 * row["k"] - 1, row["degree"]) != row["genus"]:
+            raise BoundsError(f"t2 witness for k={row['k']} violates the degree/genus relation")
+    return payload
 
 
 def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
@@ -202,20 +165,18 @@ def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
     """
     if k_max < 1:
         raise BoundsError("need k_max >= 1")
-    db = load_witnesses()
+    sections = load_witnesses()
+    genus = {row["k"]: row["genus"] for row in sections["t2_witnesses"]}
+    upgrade = {row["k"]: row["bound"] for row in sections["t2_lower_bound_upgrades"]}
     rows = []
     for k in range(1, k_max + 1):
         lb = triangular_lb(k)[2]
-        upgrade = db.t2_lower_upgrades.get(k)
-        if upgrade is not None:
-            lb = max(lb, upgrade[0])
-        w = db.t2_witnesses.get(k)
-        if w is None:
-            rows.append((k, lb, None, None))
-            continue
-        if w.genus < lb:
-            raise BoundsError(f"k={k}: witness genus {w.genus} below bound {lb}")
-        rows.append((k, lb, w.genus, lb if w.genus == lb else None))
+        if k in upgrade:
+            lb = max(lb, upgrade[k])
+        g = genus.get(k)
+        if g is not None and g < lb:
+            raise BoundsError(f"k={k}: witness genus {g} below bound {lb}")
+        rows.append((k, lb, g, lb if g == lb else None))
     return rows
 
 
@@ -232,18 +193,22 @@ class HatBoundReport:
 
 
 def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport:
-    """Per-knot hat bounds from slk (and slice genus when quasipositive)."""
+    """Per-knot hat bounds from slk (and slice genus when quasipositive).
+
+    The slice genus defaults to (slk+1)/2 when slk >= -1; one below that is an error.
+    """
     if slk % 2 == 0:
         raise BoundsError("self-linking numbers of knots are odd")
-    # The least degree with a non-negative hat genus: (d-1)(d-2)/2 >= g_min.
-    g_min = slice_genus_qp(slk) if slk >= -1 else 0
     if slice_genus is None and slk >= -1:
-        slice_genus = g_min
-    _, d0, genus_lb = triangular_lb(g_min)
-    if slice_genus is None:  # slk < -1
-        genus_lb = negbraid_hat_genus(slk)
-    elif slice_genus != g_min:
-        _, d_tri, genus_lb = triangular_lb(slice_genus)
-        d0 = max(d0, d_tri)
+        slice_genus = slice_genus_qp(slk)
+    if slice_genus is None:  # slk < -1: degree 1 has hat genus -(slk+1)/2 >= 0
+        d0, genus_lb = 1, negbraid_hat_genus(slk)
+    else:
+        # Slice-Bennequin gives 2 g_s >= slk + 1, so every degree d with
+        # (d-1)(d-2)/2 >= g_s has a non-negative hat genus.
+        _, d0, genus_lb = triangular_lb(slice_genus)
+        if 2 * slice_genus < slk + 1:
+            raise BoundsError(f"slice genus {slice_genus} violates slice-Bennequin: "
+                              f"g_s >= (slk+1)/2 = {(slk + 1) // 2}")
     table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
     return HatBoundReport(slk, slice_genus, d0, genus_lb, table)

@@ -112,10 +112,13 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     ignored.  Letters are x, y, z, w for sigma_1..sigma_4 with capitals for
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
     Negative powers invert the letter, so ``x^-3`` equals ``X^3``.  Digits are ASCII.
+    A lone ``1`` is the empty word, as :func:`braid_text` prints it.
     """
     letters: list[int] = []
     i = 0
     text = text.strip()
+    if text == "1":
+        return BraidWord(strands)
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -169,7 +172,7 @@ def braid_text(w: BraidWord) -> str:
     """Print a word in letter form with positive powers folded.
 
     Round-trips through :func:`parse_braid`; indices above 4 fall back to
-    the numeric ``s<k>`` form.
+    the numeric ``s<k>`` form, and the empty word prints as ``1``.
     """
     out: list[str] = []
     run_letter = 0
@@ -188,7 +191,7 @@ def braid_text(w: BraidWord) -> str:
             flush()
             run_letter, run_len = g, 1
     flush()
-    return "".join(out)
+    return "".join(out) or "1"
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,8 @@ def _cmd_covers(args) -> int:
 def _reproduce_t2() -> list[tuple[str, bool]]:
     from . import bounds as bounds_mod
 
-    rows = bounds_mod.t2_table(max(bounds_mod.load_witnesses().t2_witnesses))
+    k_max = max(row["k"] for row in bounds_mod.load_witnesses()["t2_witnesses"])
+    rows = bounds_mod.t2_table(k_max)
     return [(f"t2 k={k}: value {v} expected {wg}", wg is not None and v == wg)
             for k, _, wg, v in rows]
 
@@ -202,12 +203,14 @@ def _reproduce_covers() -> list[tuple[str, bool]]:
     from . import bounds as bounds_mod
     from . import covers as covers_mod
 
-    db = bounds_mod.load_witnesses()
+    sections = bounds_mod.load_witnesses()
     out = []
-    for t in db.cover_targets:
-        ok = covers_mod.cy_cover_test(t["r"], t["surface"], t["degree"])
-        out.append((f"{t['r']}-fold cover of {t['surface']} over degree {t['degree']} is K3", ok))
-    for row in db.filling_signatures.values():
+    for t in sections["cover_targets"]:
+        # A bidegree prints as (4, 4), not as its JSON list.
+        d = tuple(t["degree"]) if isinstance(t["degree"], list) else t["degree"]
+        ok = covers_mod.cy_cover_test(t["r"], t["surface"], d)
+        out.append((f"{t['r']}-fold cover of {t['surface']} over degree {d} is K3", ok))
+    for row in sections["filling_signatures"]:
         books = covers_mod.double_cover_books(row["genus"], row["signature"])
         out.append((
             f"{row['knot']} books: filling {books.b2_filling} / cap {books.b2_cap} / "

@@ -178,10 +178,11 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 # ---------------------------------------------------------------------------
 # The move table and the script file format
 # ---------------------------------------------------------------------------
-# Each operand kind has one reader (token, current strand count -> value) and
-# one writer (value -> token); each move has one action (word, *operands ->
-# word).  ``equal`` and ``parse_braid`` are called through the module names at
-# call time, so a wrapper bound to those names sees every call.
+# Each operand kind has one reader (token, current strand count -> value), one
+# writer (value -> token) and one Python type; each move has one action (word,
+# *operands -> word).  ``equal``, ``parse_braid`` and ``braid_text`` are called
+# through the module names at call time, so a wrapper bound to those names sees
+# every call.
 
 def _read_int(token: str, strands: int) -> int:
     if not re.fullmatch(r"-?[0-9]+", token):
@@ -208,15 +209,11 @@ def _read_sign(token: str, strands: int) -> int:
     return 1 if token == "+" else -1
 
 
-def _read_word(token: str, strands: int) -> BraidWord:
-    return BraidWord(strands) if token == "1" else parse_braid(token, strands)
-
-
-_INT = (_read_int, str)
+_INT = (_read_int, str, int)
 # The writers print an operand out of range as it is, so that an error names it.
-_GENERATOR = (_read_generator, lambda i: _letter_name(i, True) if i > 0 else f"s{i}")
-_WORD = (_read_word, lambda w: braid_text(w) or "1")
-_SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)))
+_GENERATOR = (_read_generator, lambda i: _letter_name(i, True) if i > 0 else f"s{i}", int)
+_WORD = (lambda token, strands: parse_braid(token, strands), lambda w: braid_text(w), BraidWord)
+_SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)), int)
 
 
 def _insert(w: BraidWord, position: int, index: int) -> BraidWord:
@@ -280,8 +277,7 @@ def parse_script(text: str) -> MoveScript:
                 expected = list(_HEADERS)[len(headers)]
                 if key != expected:
                     raise ScriptError(f"expected header '{expected}:', got '{key}:'")
-                read, _ = _HEADERS[key]
-                headers[key] = read(value.strip(), strands)
+                headers[key] = _HEADERS[key][0](value.strip(), strands)
                 if key == "strands":
                     strands = headers[key]
                 continue
@@ -293,7 +289,7 @@ def parse_script(text: str) -> MoveScript:
             kinds, strand_change, _ = _MOVES[token]
             if len(operands) != len(kinds):
                 raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
-            moves.append((token, *(read(t, strands) for t, (read, _) in zip(operands, kinds))))
+            moves.append((token, *(read(t, strands) for t, (read, *_) in zip(operands, kinds))))
             strands += strand_change
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"line {lineno}: {e}") from e
@@ -312,12 +308,23 @@ def read_script(data: bytes, source: str) -> MoveScript:
     return parse_script(text)
 
 
+# token -> the types of a well-formed move (token, *operands).  Replay checks
+# every move against it, so it is one comparison of type tuples.
+_SHAPES = {token: (str, *(kind[2] for kind in kinds)) for token, (kinds, _, _) in _MOVES.items()}
+
+
 def _row(move) -> tuple:
-    """The ``_MOVES`` row of a move ``(token, *operands)``; ScriptError for anything else."""
-    row = _MOVES.get(move[0]) if type(move) is tuple and move and type(move[0]) is str else None
-    if row is None or len(move) != len(row[0]) + 1:
-        raise ScriptError(f"unknown move {move!r}")
-    return row
+    """The ``_MOVES`` row of a move ``(token, *operands)``; ScriptError for anything
+    else, or for an operand whose type is not its kind's (``True`` is not an int)."""
+    if type(move) is tuple and move and type(move[0]) is str:
+        shape = _SHAPES.get(move[0], ())
+        if tuple(map(type, move)) == shape:
+            return _MOVES[move[0]]
+        if len(move) == len(shape):
+            i = next(i for i, t in enumerate(shape) if type(move[i]) is not t)
+            raise ScriptError(f"'{move[0]}' operand {i} must be {shape[i].__name__}, "
+                              f"got {move[i]!r}")
+    raise ScriptError(f"unknown move {move!r}")
 
 
 def _move_text(move) -> str:
@@ -326,7 +333,7 @@ def _move_text(move) -> str:
         kinds = _row(move)[0]
     except ScriptError:
         return repr(move)
-    return " ".join([move[0], *(write(v) for (_, write), v in zip(kinds, move[1:]))])
+    return " ".join([move[0], *(write(v) for (_, write, _), v in zip(kinds, move[1:]))])
 
 
 def serialize_script(script: MoveScript) -> str:
@@ -357,16 +364,12 @@ def comb_pure(w: BraidWord) -> list[tuple[int, ...]]:
     and a crossing that carries it under is free.  The strand-free residue
     is combed recursively.
 
-    The result is certified against the Garside normal form; a convention
-    bug cannot silently corrupt a factorization.
+    The factors are not certified here: ``to_torus_script`` writes their
+    product into an ``eq`` step, and replaying that step certifies it.
     """
     if underlying_permutation(w) != tuple(range(w.strands)):
         raise BraidError("comb_pure needs a pure braid word")
-    factors = _comb(w.strands, list(free_reduce(w).letters))
-    produced = BraidWord(w.strands, tuple(g for f in factors for g in f))
-    if not equal(produced, w):
-        raise BraidError("internal error: combing failed certification")
-    return factors
+    return _comb(w.strands, list(free_reduce(w).letters))
 
 
 def _comb(n: int, letters: list[int]) -> list[tuple[int, ...]]:
@@ -419,10 +422,10 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         moves.append(("conj", c))
         cur = conjugate(cur, c)
 
-    # cur's permutation is beta0's, so beta0^-1 cur is pure.  The factors are
-    # not checked here: run_script below certifies cur == beta0 * factors in
-    # this eq step, the one certification of the combing.
-    factors = _comb(n, list(free_reduce(inverse(beta0) * cur).letters))
+    # cur's permutation is beta0's, so beta0^-1 cur is pure.  run_script below
+    # certifies cur == beta0 * factors in this eq step, the one certification
+    # of the combing.
+    factors = comb_pure(inverse(beta0) * cur)
     stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
     moves.append(("eq", stage1))
 

@@ -129,7 +129,7 @@ def double_cover_books(g_s: int, sigma_filling: int) -> DoubleCoverBooks:
 def cover_line(name: str, g_s: int, r: int) -> str:
     """Human bookkeeping line for the r-fold cover of a knot's double branch."""
     if r == 2:
-        filling = load_witnesses().filling_signatures.get(name)
+        filling = {r["knot"]: r for r in load_witnesses()["filling_signatures"]}.get(name)
         if filling is None:
             b2 = 2 * g_s
             return (f"{name}\tr=2\tfilling b2={b2}\tcap b2={K3_B2 - b2}\t"

@@ -4,10 +4,8 @@ Each test prints a single ok line so the suite doubles as a checklist when
 run with ``pytest -s tests/test_acceptance.py``.
 """
 
-import json
 import random
 import time
-from importlib import resources
 from math import gcd
 
 from hatlab.braid import (
@@ -234,14 +232,9 @@ def test_criterion_8_offline_property_suites():
     # facts that are recorded rather than recomputed stay provenance-tagged
     from hatlab.bounds import load_witnesses
 
-    db = load_witnesses()
-    assert all(w.source for w in db.t2_witnesses.values())
-    assert all(src for _, src in db.t2_lower_upgrades.values())
-    payload = json.loads(
-        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
-    )
-    assert all(row["source"] for row in payload["hirzebruch_hats"])
-    assert all(row["source"] for row in db.cover_targets)
+    sections = load_witnesses()
+    for name in ("t2_witnesses", "t2_lower_bound_upgrades", "hirzebruch_hats", "cover_targets"):
+        assert all(row["source"] for row in sections[name]), name
     for rec in load_db():
         assert rec.slk == 2 * rec.slice_genus - 1
     _ok("criterion 8: offline property suites + provenance-tagged record facts")

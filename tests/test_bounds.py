@@ -1,8 +1,6 @@
 """Hat genus/degree calculators, lower bounds, and the T(2,2k+1) table."""
 
-import json
 import re
-from importlib import resources
 from math import gcd
 
 import pytest
@@ -168,11 +166,9 @@ def test_singular_genus_budget():
 
 
 def test_recorded_cusp_curves_fit_the_genus_budget():
-    payload = json.loads(
-        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
-    )
-    numeric = [c for c in payload["cusp_curves"] if isinstance(c["degree"], int)]
-    symbolic = [c for c in payload["cusp_curves"] if not isinstance(c["degree"], int)]
+    curves = load_witnesses()["cusp_curves"]
+    numeric = [c for c in curves if isinstance(c["degree"], int)]
+    symbolic = [c for c in curves if not isinstance(c["degree"], int)]
     assert len(numeric) == 4
     for c in numeric:
         cusps = [re.fullmatch(r"T\((\d+),(\d+)\)", t).groups() for t in c["cusps"]]
@@ -208,10 +204,9 @@ def test_t2_table_matches_recorded_row():
 
 
 def test_t2_table_witnesses_satisfy_relation():
-    db = load_witnesses()
-    for k, w in db.t2_witnesses.items():
-        assert hat_genus_at_degree(2 * k - 1, w.degree) == w.genus
-        assert w.source
+    for row in load_witnesses()["t2_witnesses"]:
+        assert hat_genus_at_degree(2 * row["k"] - 1, row["degree"]) == row["genus"]
+        assert row["source"]
 
 
 def test_t2_table_unknown_rows_flagged():
@@ -242,15 +237,12 @@ def test_relation_identity_property(k, d):
 
 
 def test_recorded_exclusions_and_open_flags():
-    db = load_witnesses()
-    (excl,) = db.curve_exclusions
+    sections = load_witnesses()
+    (excl,) = sections["curve_class_exclusions"]
     assert excl["p"] == 6
     assert excl["class"] == {"a": 9, "b": [3, 3, 3, 3]}
     assert excl["source"]
-    payload = json.loads(
-        resources.files("hatlab").joinpath("data", "witnesses.json").read_text()
-    )
-    assert payload["open_flags"]
+    assert sections["open_flags"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,10 +257,10 @@ def test_least_degree_property(g):
 
 
 def test_t2_table_bound_is_the_triangular_bound_unless_upgraded():
-    ups = load_witnesses().t2_lower_upgrades
+    ups = {row["k"]: row["bound"] for row in load_witnesses()["t2_lower_bound_upgrades"]}
     for k, lb, _, _ in t2_table(299):
         tri = triangular_lb(k)[2]  # T(2,2k+1) is quasipositive of slice genus k
-        assert lb == (max(tri, ups[k][0]) if k in ups else tri)
+        assert lb == (max(tri, ups[k]) if k in ups else tri)
 
 
 def test_bounds_report_degree_lb_is_the_least_feasible_degree():
@@ -276,6 +268,11 @@ def test_bounds_report_degree_lb_is_the_least_feasible_degree():
         for g_s in [None] + list(range(0, 40)):
             if g_s is None and slk >= -1:
                 g_s = slice_genus_qp(slk)
+            if g_s is not None and 2 * g_s < slk + 1:
+                # Slice-Bennequin: no knot with this slk has so small a slice genus.
+                with pytest.raises(BoundsError, match=r"slice-Bennequin: g_s >= \(slk\+1\)/2"):
+                    bounds_report(slk, g_s)
+                continue
             rep = bounds_report(slk, g_s)
             d = triangular_lb(g_s)[1] if g_s is not None else 1
             while (d * d - 3 * d + 2) < slk + 1:

@@ -46,6 +46,17 @@ def test_parse_empty_is_identity():
     assert parse_braid("   ", 5) == BraidWord(5)
 
 
+def test_identity_is_spelled_1():
+    for n in (1, 2, 5):
+        assert parse_braid("1", n) == parse_braid(" 1 ", n) == BraidWord(n)
+        assert braid_text(BraidWord(n)) == "1"
+        assert parse_braid(braid_text(BraidWord(n)), n) == BraidWord(n)
+    # 1 is a word on its own, not a letter.
+    for text in ("x1", "1x", "11", "x^1 1"):
+        with pytest.raises(BraidError, match="unknown letter '1'"):
+            parse_braid(text, 3)
+
+
 def test_parse_capitals_are_inverses():
     assert parse_braid("xyXY", 3).letters == (1, 2, -1, -2)
 

@@ -100,7 +100,7 @@ def test_rewrite_equal_certifies():
 _STEP_ERRORS = [
     ([("cyc", 1), ("eq", parse_braid("x^3", 3))],
      "step 1 (eq x^3): uncertifiable rewrite: yxyx != x^3"),
-    ([("eq", BraidWord(3))], "step 0 (eq 1): uncertifiable rewrite: xyxy != "),
+    ([("eq", BraidWord(3))], "step 0 (eq 1): uncertifiable rewrite: xyxy != 1"),
     ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target has wrong strand count"),
     ([("ins", 5, 1)], "step 0 (ins 5 x): insert position 5 out of range"),
     ([("ins", 0, 3)], "step 0 (ins 0 z): insert index 3 out of range"),
@@ -113,6 +113,14 @@ _STEP_ERRORS = [
     ([("destab",)], "step 0 (destab): destabilization needs exactly one sigma_2 letter, found 2"),
     ([("stab", -1), ("destab",)],
      "step 1 (destab): destabilization needs the last-strand letter to be positive"),
+] + [
+    # A move with an operand of the wrong type is named by its repr, and the
+    # error names the operand; bool is not an int.
+    ([("cyc", "x")], "step 0 (('cyc', 'x')): 'cyc' operand 1 must be int, got 'x'"),
+    ([("eq", "xyx")], "step 0 (('eq', 'xyx')): 'eq' operand 1 must be BraidWord, got 'xyx'"),
+    ([("ins", "4", 1)], "step 0 (('ins', '4', 1)): 'ins' operand 1 must be int, got '4'"),
+    ([("ins", 4, 1.0)], "step 0 (('ins', 4, 1.0)): 'ins' operand 2 must be int, got 1.0"),
+    ([("stab", True)], "step 0 (('stab', True)): 'stab' operand 1 must be int, got True"),
 ] + [
     # What is not one of the seven moves is named by its repr.
     ([("cyc", 1), move], f"step 1 ({move!r}): unknown move {move!r}")
@@ -364,7 +372,8 @@ def test_comb_pure_certifies_factorizations():
     for _ in range(150):
         n = rng.randint(2, 4)
         w = _pure_word(n, rng, rng.randint(0, 4))
-        factors = comb_pure(w)  # certified internally against normal forms
+        factors = comb_pure(w)
+        assert equal(BraidWord(n, tuple(g for f in factors for g in f)), w)
         for f in factors:
             k = (len(f) - 2) // 2
             assert abs(f[k]) == abs(f[k + 1])

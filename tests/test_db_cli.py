@@ -1,6 +1,5 @@
 """The command-line surface: outputs, exit codes, JSON schema."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -37,6 +36,11 @@ def test_eq_exit_codes(capsys):
     assert rc == 0 and out.strip() == "equal"
     rc, out = run_cli(capsys, "eq", "xy", "yx", "--strands", "3")
     assert rc == 1 and out.strip() == "different"
+    # 1 is the identity wherever braid text is read.
+    rc, out = run_cli(capsys, "eq", "1", "x", "--strands", "2")
+    assert rc == 1 and out.strip() == "different"
+    rc, out = run_cli(capsys, "eq", "1", "xX", "--strands", "2")
+    assert rc == 0 and out.strip() == "equal"
 
 
 def test_run_script_file(capsys, tmp_path):
@@ -151,10 +155,10 @@ def test_reproduce_t2_table_output(capsys):
 
 
 def test_reproduce_t2_table_fails_a_row_without_witness(capsys, monkeypatch):
-    db = bounds_mod.load_witnesses()
-    witnesses = {k: w for k, w in db.t2_witnesses.items() if k != 5}
+    sections = bounds_mod.load_witnesses()
+    witnesses = [row for row in sections["t2_witnesses"] if row["k"] != 5]
     monkeypatch.setattr(bounds_mod, "load_witnesses",
-                        lambda: dataclasses.replace(db, t2_witnesses=witnesses))
+                        lambda: {**sections, "t2_witnesses": witnesses})
     rc, out = run_cli(capsys, "reproduce", "t2-table")
     assert rc == 1
     assert out.splitlines()[4] == "FAIL\tt2 k=5: value None expected None"
@@ -189,6 +193,9 @@ def test_reproduce_cover_books_output(capsys):
      "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
     (["slk", "x^²", "--strands", "3"], "malformed power at column 1 in 'x^²'"),
     (["run-script", "{bad_step}"], "step 0 (ins 5 x): insert position 5 out of range"),
+    (["run-script", "{bad_eq}"], "step 0 (eq 1): uncertifiable rewrite: xyxy != 1"),
+    (["bounds", "--slk", "9", "--slice-genus", "2"],
+     "slice genus 2 violates slice-Bennequin: g_s >= (slk+1)/2 = 5"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
@@ -197,8 +204,10 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     latin1.write_bytes(b"strands: 3\nstart: x\xe9\n")
     bad_step = tmp_path / "bad_step.txt"
     bad_step.write_text("strands: 3\nstart: xy\nins 5 x\n")
+    bad_eq = tmp_path / "bad_eq.txt"
+    bad_eq.write_text("strands: 3\nstart: xyxy\neq 1\n")
     paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1,
-             "bad_step": bad_step}
+             "bad_step": bad_step, "bad_eq": bad_eq}
     rc = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
