@@ -67,14 +67,6 @@ def triangular_lb(g_s: int) -> tuple[int, int, int]:
     return m, d, m - g_s
 
 
-def negbraid_hat_genus(slk: int) -> int:
-    """Hat genus -(slk+1)/2 (at degree 1) for knots that unknot through
-    positive crossing changes, e.g. closures of negative braids."""
-    if slk > -1 or slk % 2 == 0:
-        raise BoundsError("requires an odd self-linking number <= -1")
-    return -(slk + 1) // 2
-
-
 def negative_torus_max_slk(p: int, q: int) -> int:
     """Maximal self-linking number -pq + q - p of T(p,-q), for 2 <= p < q."""
     if not (2 <= p < q):
@@ -95,7 +87,7 @@ def twist_knot_max_slk(n: int) -> int:
 
 
 def twist_knot_hat_genus(n: int) -> int:
-    return negbraid_hat_genus(twist_knot_max_slk(n))
+    return hat_genus_at_degree(twist_knot_max_slk(n), 1)
 
 
 def semigroup_lb(p: int, q: int) -> int:
@@ -202,13 +194,15 @@ def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport
     if slice_genus is None and slk >= -1:
         slice_genus = slice_genus_qp(slk)
     if slice_genus is None:  # slk < -1: degree 1 has hat genus -(slk+1)/2 >= 0
-        d0, genus_lb = 1, negbraid_hat_genus(slk)
+        d0 = 1
     else:
         # Slice-Bennequin gives 2 g_s >= slk + 1, so every degree d with
         # (d-1)(d-2)/2 >= g_s has a non-negative hat genus.
-        _, d0, genus_lb = triangular_lb(slice_genus)
+        d0 = triangular_lb(slice_genus)[1]
         if 2 * slice_genus < slk + 1:
             raise BoundsError(f"slice genus {slice_genus} violates slice-Bennequin: "
                               f"g_s >= (slk+1)/2 = {(slk + 1) // 2}")
+    # The hat genus at a degree is fixed by slk and never falls as the degree
+    # grows, so the least one is at degree_lb.
     table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
-    return HatBoundReport(slk, slice_genus, d0, genus_lb, table)
+    return HatBoundReport(slk, slice_genus, d0, table[d0], table)

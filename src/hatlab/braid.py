@@ -24,9 +24,8 @@ mirrored and the power starts at minus the number of negative letters.
 The positive factors are then left-weighted pair by pair, right to left, as
 they arrive, which leaves Delta only at the front and identities only at the
 end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
-Normal forms are cached least recently used first, within a budget of
-``CACHE_LETTERS`` letters of the words they belong to; a longer word is
-never cached.
+Normal forms are not cached: ``equal`` answers identical letters at once,
+and every other comparison computes both normal forms.
 
 Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
 letter on construction.  ``_word`` builds a word without that check; only
@@ -44,7 +43,6 @@ its positive permutation braid.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import HatlabError
@@ -381,8 +379,9 @@ def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
     return tuple(a), tuple(b)
 
 
-def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
-    n = strands
+def normal_form(w: BraidWord) -> NormalForm:
+    """Canonical left Garside normal form of the word."""
+    n, letters = w.strands, w.letters
     idp = tuple(range(n))
     w0 = tuple(range(n - 1, -1, -1))
     # Each sigma_i^-1 is Delta^-1 * C_i with C_i = Delta sigma_i^-1 simple.
@@ -425,56 +424,15 @@ def _normal_form(strands: int, letters: tuple[int, ...]) -> NormalForm:
     return NormalForm(n, power, tuple(fac))
 
 
-class _LetterBoundedLRU:
-    """Least-recently-used normal forms, bounded by the letters of their words.
-
-    A word longer than the whole budget is never kept.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.letters = 0
-        self._entries: OrderedDict[tuple[int, tuple[int, ...]], NormalForm] = OrderedDict()
-
-    def get(self, key: tuple[int, tuple[int, ...]]) -> NormalForm | None:
-        nf = self._entries.get(key)
-        if nf is not None:
-            self._entries.move_to_end(key)
-        return nf
-
-    def put(self, key: tuple[int, tuple[int, ...]], nf: NormalForm) -> None:
-        size = len(key[1])
-        if size > self.budget:
-            return
-        self._entries[key] = nf
-        self.letters += size
-        while self.letters > self.budget:
-            (_, old), _ = self._entries.popitem(last=False)
-            self.letters -= len(old)
-
-
-CACHE_LETTERS = 4096
-_cache = _LetterBoundedLRU(CACHE_LETTERS)
-
-
-def normal_form(w: BraidWord) -> NormalForm:
-    """Canonical left Garside normal form of the word."""
-    key = (w.strands, w.letters)
-    nf = _cache.get(key)
-    if nf is None:
-        nf = _normal_form(w.strands, w.letters)
-        _cache.put(key, nf)
-    return nf
-
-
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Decide whether two words represent the same element of B_n.
 
-    Sound and complete: reduces to identity of Garside normal forms.
+    Sound and complete: reduces to identity of Garside normal forms, which
+    identical letters need not compute.
     """
     if w1.strands != w2.strands:
         raise BraidError("cannot compare words with different strand counts")
-    return normal_form(w1) == normal_form(w2)
+    return w1.letters == w2.letters or normal_form(w1) == normal_form(w2)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

@@ -9,8 +9,9 @@ Moves are applied to the literal letter sequence; nothing is simplified
 implicitly.  An ``eq`` step is certified against the Garside
 normal form and replay fails loudly on an uncertifiable step, so a script
 that replays is a proof of every equality it uses.  Each identity is
-certified once: ``to_torus_script`` leaves its combing unchecked and lets
-the replay of its first ``eq`` step certify it.
+certified once, when its script is replayed: ``to_torus_script`` neither
+checks its combing nor replays its script, so the caller's replay is the
+one certification of every step.
 
 Replay records the closure's component count, the number of cycles of the
 word's permutation, after every move, and recounts it only after ``ins``.
@@ -403,7 +404,10 @@ def _comb(n: int, letters: list[int]) -> list[tuple[int, ...]]:
 
 
 def to_torus_script(w: BraidWord) -> MoveScript:
-    """Build a certified script from a knot braid to a positive torus braid.
+    """Build a script from a knot braid to a positive torus braid.
+
+    The script is not replayed here: replaying it with ``run_script``, as
+    every caller does, certifies every step, its combing included.
 
     The output conjugates ``w`` by one positive permutation braid, which
     aligns its permutation with the cycle of ``beta0 = s1 s2 ... s_{n-1}``,
@@ -422,9 +426,9 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         moves.append(("conj", c))
         cur = conjugate(cur, c)
 
-    # cur's permutation is beta0's, so beta0^-1 cur is pure.  run_script below
-    # certifies cur == beta0 * factors in this eq step, the one certification
-    # of the combing.
+    # cur's permutation is beta0's, so beta0^-1 cur is pure.  Replaying this
+    # eq step certifies cur == beta0 * factors, the one certification of the
+    # combing.
     factors = comb_pure(inverse(beta0) * cur)
     stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
     moves.append(("eq", stage1))
@@ -449,9 +453,7 @@ def to_torus_script(w: BraidWord) -> MoveScript:
 
     end = BraidWord(n, beta0.letters + twist * positive)
     moves.append(("eq", end))
-    script = MoveScript(start=w, moves=tuple(moves), declared_end=end)
-    run_script(script)  # certify before handing out
-    return script
+    return MoveScript(start=w, moves=tuple(moves), declared_end=end)
 
 
 def _aligning_conjugator(w: BraidWord) -> BraidWord:

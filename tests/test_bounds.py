@@ -12,7 +12,6 @@ from hatlab.bounds import (
     hat_genus_at_degree,
     load_witnesses,
     milnor_genus,
-    negbraid_hat_genus,
     negative_torus_max_slk,
     plane_curve_genus,
     semigroup_lb,
@@ -96,10 +95,12 @@ def test_triangular_lb_brute_force_oracle():
 
 
 def test_negbraid_hat_genus():
-    assert negbraid_hat_genus(-1) == 0
-    assert negbraid_hat_genus(-7) == 3
+    # A knot that unknots through positive crossing changes, e.g. the closure
+    # of a negative braid, has a degree-1 hat of genus -(slk+1)/2.
+    assert hat_genus_at_degree(-1, 1) == 0
+    assert hat_genus_at_degree(-7, 1) == 3
     with pytest.raises(BoundsError):
-        negbraid_hat_genus(3)
+        hat_genus_at_degree(3, 1)
 
 
 def test_negative_torus_knots():
@@ -111,7 +112,7 @@ def test_negative_torus_knots():
                 continue
             slk = negative_torus_max_slk(p, q)
             assert slk == -p * q + q - p
-            assert negbraid_hat_genus(slk) == (p - 1) * (q + 1) // 2
+            assert hat_genus_at_degree(slk, 1) == (p - 1) * (q + 1) // 2
 
 
 def test_twist_knots():
@@ -278,7 +279,10 @@ def test_bounds_report_degree_lb_is_the_least_feasible_degree():
             while (d * d - 3 * d + 2) < slk + 1:
                 d += 1
             assert rep.degree_lb == d
-            assert rep.genus_lb == (triangular_lb(g_s)[2] if g_s is not None
-                                    else -(slk + 1) // 2)
+            assert rep.genus_lb == rep.genus_by_degree[rep.degree_lb] == min(
+                rep.genus_by_degree.values())
+            if g_s is None or 2 * g_s == slk + 1:
+                assert rep.genus_lb == (triangular_lb(g_s)[2] if g_s is not None
+                                        else -(slk + 1) // 2)
             for deg, genus in rep.genus_by_degree.items():
                 assert (deg * deg - 3 * deg + 1) - 2 * genus == slk

@@ -407,9 +407,9 @@ def test_to_torus_requires_knot():
             to_torus_script(w)
 
 
-def test_to_torus_script_walks_its_inputs_permutation_twice(monkeypatch):
-    # Once to align it, which also finds that the closure is a knot, and once
-    # when the replay counts the start's components.
+def test_to_torus_script_walks_its_inputs_permutation_once(monkeypatch):
+    # To align it, which also finds that the closure is a knot.  Building a
+    # script does not replay it, so the start's components are not counted.
     calls = []
     real = braid.underlying_permutation
     spy = lambda w: calls.append(w) or real(w)
@@ -417,7 +417,18 @@ def test_to_torus_script_walks_its_inputs_permutation_twice(monkeypatch):
     monkeypatch.setattr(cobordism, "underlying_permutation", spy)
     w = parse_braid("yX^3", 3)
     assert to_torus_script(w).moves[0][0] == "conj"
-    assert calls.count(w) == 2
+    assert calls.count(w) == 1
+
+
+def test_to_torus_script_applies_no_move(monkeypatch):
+    # The caller's replay is the one certification of a torus script.
+    calls = []
+    real = cobordism.apply_move
+    monkeypatch.setattr(cobordism, "apply_move", lambda w, m: calls.append(m) or real(w, m))
+    script = to_torus_script(parse_braid("xY^3XY", 3))
+    assert calls == []
+    run_script(script)
+    assert len(calls) == len(script.moves) == 15
 
 
 def test_to_torus_random_property():
@@ -510,7 +521,9 @@ _MINIMAL_KNOTS = {
 @pytest.mark.parametrize("n", sorted(_MINIMAL_KNOTS))
 def test_to_torus_script_m_on_minimal_knot_braids(n):
     texts, ms = _MINIMAL_KNOTS[n]
-    ends = [to_torus_script(parse_braid(t, n)).declared_end for t in texts.split()]
+    scripts = [to_torus_script(parse_braid(t, n)) for t in texts.split()]
+    ends = [run_script(s)[0] for s in scripts]  # each script replays, so it is certified
+    assert ends == [s.declared_end for s in scripts]
     assert [(len(e.letters) - (n - 1)) // (n * (n - 1)) for e in ends] == list(ms)
 
 

@@ -81,7 +81,7 @@ def test_bounds_with_given_slice_genus(capsys):
     rc, out = run_cli(capsys, "bounds", "--slk", "9", "--slice-genus", "6")
     assert rc == 0
     assert out == (
-        "slk\t9\nslice_genus\t6\ndegree_lb\t5\ngenus_lb\t0\n"
+        "slk\t9\nslice_genus\t6\ndegree_lb\t5\ngenus_lb\t1\n"
         "genus_at_degree_5\t1\ngenus_at_degree_6\t5\ngenus_at_degree_7\t10\n"
         "genus_at_degree_8\t16\ngenus_at_degree_9\t23\ngenus_at_degree_10\t31\n"
     )
