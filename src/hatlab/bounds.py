@@ -15,15 +15,15 @@ Upper bounds come from recorded witness constructions (external curves and
 crossing-change upgrades of them); those are declarative rows with
 provenance strings in ``data/witnesses.json``.  ``load_witnesses`` returns
 the file's sections as their JSON rows, after checking each
-``t2_witnesses`` row against the degree/genus relation.  The bounds code
-never hard-codes a witness.
+``t2_witnesses`` row against the degree/genus relation.  It reads the file
+on every call, which a command does at most twice, so each caller gets rows
+of its own.  The bounds code never hard-codes a witness.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from importlib import resources
 from math import gcd, isqrt
 from typing import Optional
@@ -86,10 +86,6 @@ def twist_knot_max_slk(n: int) -> int:
     return -(n + 4) if n % 2 else -(n + 1)
 
 
-def twist_knot_hat_genus(n: int) -> int:
-    return hat_genus_at_degree(twist_knot_max_slk(n), 1)
-
-
 def semigroup_lb(p: int, q: int) -> int:
     """Third-smallest element of the numerical semigroup <p, q>.
 
@@ -132,10 +128,9 @@ def singular_genus_budget(d: int, sing_genera: list[int]) -> int:
 # Witness records and the T(2,2k+1) table
 # ---------------------------------------------------------------------------
 
-@cache
 def load_witnesses() -> dict[str, list]:
-    """The sections of ``data/witnesses.json`` as their JSON rows, parsed and
-    checked once; callers share the result and must not change it."""
+    """The sections of ``data/witnesses.json`` as their JSON rows, read and
+    checked anew on each call."""
     payload = json.loads(
         resources.files("hatlab").joinpath("data", "witnesses.json").read_text(encoding="utf-8")
     )
@@ -181,7 +176,7 @@ class HatBoundReport:
     slice_genus: Optional[int]
     degree_lb: int
     genus_lb: int
-    genus_by_degree: dict[int, int] = field(default_factory=dict)
+    genus_by_degree: dict[int, int]
 
 
 def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport:

@@ -24,8 +24,6 @@ mirrored and the power starts at minus the number of negative letters.
 The positive factors are then left-weighted pair by pair, right to left, as
 they arrive, which leaves Delta only at the front and identities only at the
 end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
-Normal forms are not cached: ``equal`` answers identical letters at once,
-and every other comparison computes both normal forms.
 
 Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
 letter on construction.  ``_word`` builds a word without that check; only

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import HatlabError
@@ -93,22 +93,33 @@ class MoveScript:
     declared_end: Optional[BraidWord] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CobordismLedger:
     """Band and self-linking bookkeeping for one replayed script.
 
     ``bands`` counts inserted single positive generators (a crossing change
-    contributes 2), so ``euler == -bands``.  When both ends are knots the
-    cobordism genus is ``bands/2``, which also equals
-    ``(slk_end - slk_start)/2`` in the absence of negative stabilizations.
+    contributes 2), so ``euler == -bands``.  A ledger is checked when it is
+    built: when both ends are knots, ``slk_end - slk_start`` must equal
+    ``bands`` minus twice the negative stabilizations, or ScriptError is
+    raised.  A knot's self-linking number is odd, so ``bands`` is then even
+    and the cobordism genus is ``bands/2``.
     """
 
-    crossing_changes: int = 0
-    insertions: int = 0
-    negative_stabilizations: int = 0
-    slk_start: Optional[int] = None
-    slk_end: Optional[int] = None
-    component_trace: list[int] = field(default_factory=list)
+    crossing_changes: int
+    insertions: int
+    negative_stabilizations: int
+    slk_start: Optional[int]
+    slk_end: Optional[int]
+    component_trace: list[int]
+
+    def __post_init__(self):
+        if self.slk_start is not None and self.slk_end is not None:
+            expect = self.bands - 2 * self.negative_stabilizations
+            if self.slk_end - self.slk_start != expect:
+                raise ScriptError(
+                    "ledger mismatch: slk delta "
+                    f"{self.slk_end - self.slk_start} != bands {expect}"
+                )
 
     @property
     def bands(self) -> int:
@@ -126,18 +137,7 @@ class CobordismLedger:
     def genus(self) -> Optional[int]:
         if self.slk_start is None or self.slk_end is None:
             return None
-        if self.bands % 2:
-            raise ScriptError("odd band count on a knot-to-knot script")
         return self.bands // 2
-
-    def check_consistency(self) -> None:
-        if self.slk_start is not None and self.slk_end is not None:
-            expect = self.bands - 2 * self.negative_stabilizations
-            if self.slk_end - self.slk_start != expect:
-                raise ScriptError(
-                    "ledger mismatch: slk delta "
-                    f"{self.slk_end - self.slk_start} != bands {expect}"
-                )
 
 
 def apply_move(w: BraidWord, move: tuple) -> BraidWord:
@@ -160,20 +160,18 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({_move_text(move)}): {e}") from e
         trace.append(closure_components(w) if move[0] == "ins" else trace[-1])
-    # Every move is well formed now, so each has a token to count.  The
-    # self-linking of a knot closure is its exponent sum minus its strands.
-    kinds = Counter(m[0] for m in script.moves)
-    ledger = CobordismLedger(
-        kinds["cc"], kinds["ins"], script.moves.count(("stab", -1)),
-        exponent_sum(script.start) - script.start.strands if trace[0] == 1 else None,
-        exponent_sum(w) - w.strands if trace[-1] == 1 else None, trace)
     end = script.declared_end
     if end is not None and end.strands != w.strands:
         raise ScriptError(f"declared end lives in B_{end.strands}, script ends in B_{w.strands}")
     if end is not None and not equal(w, end):
         raise ScriptError(f"final word {braid_text(w)} not equal to declared end {braid_text(end)}")
-    ledger.check_consistency()
-    return w, ledger
+    # Every move is well formed now, so each has a token to count.  The
+    # self-linking of a knot closure is its exponent sum minus its strands.
+    kinds = Counter(m[0] for m in script.moves)
+    return w, CobordismLedger(
+        kinds["cc"], kinds["ins"], script.moves.count(("stab", -1)),
+        exponent_sum(script.start) - script.start.strands if trace[0] == 1 else None,
+        exponent_sum(w) - w.strands if trace[-1] == 1 else None, trace)
 
 
 # ---------------------------------------------------------------------------

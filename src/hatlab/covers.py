@@ -128,18 +128,14 @@ def double_cover_books(g_s: int, sigma_filling: int) -> DoubleCoverBooks:
 
 def cover_line(name: str, g_s: int, r: int) -> str:
     """Human bookkeeping line for the r-fold cover of a knot's double branch."""
-    if r == 2:
-        filling = {r["knot"]: r for r in load_witnesses()["filling_signatures"]}.get(name)
-        if filling is None:
-            b2 = 2 * g_s
-            return (f"{name}\tr=2\tfilling b2={b2}\tcap b2={K3_B2 - b2}\t"
-                    "sigma undetermined")
-        sigma = filling["signature"]
-        books = double_cover_books(g_s, sigma)
-        return (f"{name}\tr=2\tfilling b2={books.b2_filling} sigma={sigma}\t"
-                f"cap b2={books.b2_cap} sigma={books.sigma_cap}\tform {books.form}")
-    if r in (3, 4):
-        b2 = 2 * g_s * (r - 1)
-        return (f"{name}\tr={r}\tfilling b2={b2}\tcap b2={K3_B2 - b2}\t"
-                f"spin rational homology ball expected iff b2=0")
-    raise CoverError("r must be 2, 3, or 4")
+    if r not in (2, 3, 4):
+        raise CoverError("r must be 2, 3, or 4")
+    b2 = 2 * g_s * (r - 1)
+    filling, cap = f"{name}\tr={r}\tfilling b2={b2}", f"cap b2={K3_B2 - b2}"
+    if r > 2:
+        return f"{filling}\t{cap}\tspin rational homology ball expected iff b2=0"
+    row = next((row for row in load_witnesses()["filling_signatures"] if row["knot"] == name), None)
+    if row is None:
+        return f"{filling}\t{cap}\tsigma undetermined"
+    books = double_cover_books(g_s, row["signature"])
+    return f"{filling} sigma={row['signature']}\t{cap} sigma={books.sigma_cap}\tform {books.form}"

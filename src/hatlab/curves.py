@@ -185,8 +185,10 @@ def _over_cap(cap: int) -> SearchError:
     return SearchError(f"enumeration exceeds cap: more than {cap} nodes visited")
 
 
-def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
-           cap: int = 10_000_000) -> SearchReport:
+NODE_CAP = 10_000_000
+
+
+def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> SearchReport:
     """Enumerate all adjunction solutions in range and annotate them.
 
     The budget form of the constraint is ``sum b_i(b_i - 1) = a^2 - 3a -
@@ -194,10 +196,11 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
     tuples with exact pruning.  The walk emits the solutions in output
     order, ascending in a and lexicographically descending in b; results
     are independent of chunking.  Annotations share their
-    :class:`GromovDetail` objects.  ``cap`` bounds the work done: the
-    search raises :class:`SearchError` once the enumeration has visited
-    more than ``cap`` nodes over all degrees; ``nodes`` in the report is
-    the count visited.
+    :class:`GromovDetail` objects.  The module constant ``NODE_CAP``
+    (10,000,000) bounds the work done: the search raises
+    :class:`SearchError` once the enumeration has visited more than
+    ``NODE_CAP`` nodes over all degrees; ``nodes`` in the report is the
+    count visited.
     """
     if p < 2:
         raise SearchError("need p >= 2")
@@ -215,7 +218,7 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0,
         if budget < 0:
             continue
         tuples: list[tuple[int, ...]] = []
-        _descending_tuples(blowups, a, budget, [], tuples, visited, cap)
+        _descending_tuples(blowups, a, budget, [], tuples, visited, NODE_CAP)
         for b in tuples:
             self_int = a * a - sum(map(mul, b, b))
             if self_int != cusps + 3 * a - sum(b):

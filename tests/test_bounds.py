@@ -19,7 +19,6 @@ from hatlab.bounds import (
     slice_genus_qp,
     t2_table,
     triangular_lb,
-    twist_knot_hat_genus,
     twist_knot_max_slk,
 )
 from oracles import semigroup_elements
@@ -75,6 +74,8 @@ def test_triangular_lb_examples():
     assert triangular_lb(4) == (6, 5, 2)     # smallest triangular >= 4 is 6
     assert triangular_lb(0) == (0, 1, 0)
     assert triangular_lb(10) == (10, 6, 0)   # 10 is triangular
+    with pytest.raises(BoundsError, match=r"^slice genus must be >= 0$"):
+        triangular_lb(-1)
 
 
 def test_triangular_lb_zero_iff_triangular():
@@ -116,12 +117,15 @@ def test_negative_torus_knots():
 
 
 def test_twist_knots():
-    assert twist_knot_hat_genus(-3) == 1
-    assert twist_knot_hat_genus(-5) == 1
-    assert twist_knot_hat_genus(1) == 2    # (n+3)/2
-    assert twist_knot_hat_genus(3) == 3
-    assert twist_knot_hat_genus(2) == 1    # n/2
-    assert twist_knot_hat_genus(4) == 2
+    def hat_genus(n):
+        return hat_genus_at_degree(twist_knot_max_slk(n), 1)
+
+    assert hat_genus(-3) == 1
+    assert hat_genus(-5) == 1
+    assert hat_genus(1) == 2    # (n+3)/2
+    assert hat_genus(3) == 3
+    assert hat_genus(2) == 1    # n/2
+    assert hat_genus(4) == 2
     with pytest.raises(BoundsError):
         twist_knot_max_slk(-4)  # open: representatives not unique
 
@@ -213,6 +217,8 @@ def test_t2_table_witnesses_satisfy_relation():
 def test_t2_table_unknown_rows_flagged():
     rows = t2_table(13)
     assert rows[11] == (12, triangular_lb(12)[2], None, None)  # "?" in the CLI
+    with pytest.raises(BoundsError, match=r"^need k_max >= 1$"):
+        t2_table(0)
 
 
 def test_bounds_report():

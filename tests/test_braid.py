@@ -230,6 +230,20 @@ def test_inequality():
 def test_strand_mismatch_raises():
     with pytest.raises(BraidError):
         equal(BraidWord(3), BraidWord(4))
+    with pytest.raises(BraidError, match=r"^cannot multiply words with different strand counts$"):
+        BraidWord(3, (1,)) * BraidWord(2, (1,))
+
+
+@pytest.mark.parametrize("strands, letters, message", [
+    (0, (), "strand count must be >= 1, got 0"),
+    (3, (3,), "letter 3 out of range for 3 strands"),
+    (3, (1, 0), "letter 0 out of range for 3 strands"),
+    (3, (-3,), "letter -3 out of range for 3 strands"),
+])
+def test_braid_word_checks_its_letters(strands, letters, message):
+    with pytest.raises(BraidError) as exc:
+        BraidWord(strands, letters)
+    assert str(exc.value) == message
 
 
 def test_five_twist_identity_b6():
@@ -463,6 +477,8 @@ def test_delta_squares_to_full_twist():
 def test_full_twist_small_cases():
     assert full_twist(2) == parse_braid("x^2", 2)
     assert equal(parse_braid("x^2yx^2y", 3), parse_braid("xyxyxy", 3))
+    with pytest.raises(BraidError, match=r"^strand count must be >= 1$"):
+        full_twist(0)
 
 
 # ---------------------------------------------------------------------------

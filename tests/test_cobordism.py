@@ -24,6 +24,7 @@ from hatlab.braid import (
     underlying_permutation,
 )
 from hatlab.cobordism import (
+    CobordismLedger,
     MoveScript,
     ScriptError,
     _aligning_conjugator,
@@ -158,6 +159,21 @@ def test_declared_end_checked():
     bad = MoveScript(start=w, declared_end=parse_braid("xxy", 3))
     with pytest.raises(ScriptError):
         run_script(bad)
+    elsewhere = MoveScript(start=w, declared_end=parse_braid("x", 2))
+    with pytest.raises(ScriptError) as exc:
+        run_script(elsewhere)
+    assert str(exc.value) == "declared end lives in B_2, script ends in B_3"
+
+
+def test_ledger_is_checked_when_built():
+    # One band between two knots of self-linking 1: the gain 0 is not 1 - 0.
+    with pytest.raises(ScriptError) as exc:
+        CobordismLedger(0, 1, 0, 1, 1, [1, 2, 1])
+    assert str(exc.value) == "ledger mismatch: slk delta 0 != bands 1"
+    # A negative stabilization takes 2 off the expected gain.
+    assert CobordismLedger(1, 0, 1, 1, 1, [1, 1, 1]).genus == 1
+    # With a link at either end nothing is compared and there is no genus.
+    assert CobordismLedger(0, 1, 0, 1, None, [1, 2]).genus is None
 
 
 def test_replay_is_deterministic():
@@ -285,6 +301,16 @@ def test_malformed_script_lines_name_their_line(text, lineno):
 def test_malformed_generators_keep_their_errors(text, message):
     # A lone x, y, z or w in range is read without parse_braid; every other
     # token still goes through it, so its error text is parse_braid's.
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strands: 3\nfoo: 1\n", "line 2: unknown header 'foo:'"),
+    ("start: xy\nstrands: 3\n", "line 1: expected header 'strands:', got 'start:'"),
+])
+def test_header_errors_keep_their_messages(text, message):
     with pytest.raises(ScriptError) as exc:
         parse_script(text)
     assert str(exc.value) == message

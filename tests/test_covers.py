@@ -63,6 +63,18 @@ def test_cy_cover_divisibility_error():
         cy_cover_test(3, "P1xP1", (3, 4))
 
 
+@pytest.mark.parametrize("r, surface, degree, message", [
+    (1, "CP2", 6, "need r >= 2"),
+    (2, "P2", 6, "unknown surface 'P2'"),
+    (2, "CP2", (6, 6), "CP2 takes a single degree"),
+    (2, "P1xP1", 4, "P1xP1 takes a bidegree pair"),
+])
+def test_cy_cover_input_errors(r, surface, degree, message):
+    with pytest.raises(CoverError) as exc:
+        cy_cover_test(r, surface, degree)
+    assert str(exc.value) == message
+
+
 def test_all_four_presentations_are_k3():
     for r, surface, degree in K3_PRESENTATIONS:
         assert cy_cover_test(r, surface, degree), (r, surface, degree)
@@ -123,6 +135,8 @@ def test_books_conserve_rank_and_signature():
 def test_books_impossible_pair():
     with pytest.raises(CoverError):
         double_cover_books(2, -40)  # |sigma_cap| would exceed the rank
+    with pytest.raises(CoverError, match=r"^slice genus must be >= 0$"):
+        double_cover_books(-1, 0)
 
 
 def test_form_labels():

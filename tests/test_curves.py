@@ -158,9 +158,15 @@ def test_search_order_independence():
     assert list(full.solutions) == chunks
 
 
-def test_search_cap():
+def test_search_rejects_an_empty_degree_range():
+    with pytest.raises(SearchError, match=r"^bad search parameters$"):
+        search(3, 1, 5, 4)
+
+
+def test_search_cap(monkeypatch):
+    monkeypatch.setattr(curves, "NODE_CAP", 1000)
     with pytest.raises(SearchError):
-        search(3, 6, 0, 500, genus=0, cap=1000)
+        search(3, 6, 0, 500, genus=0)
 
 
 # Leaves of the last level count as nodes: every cap below the count trips,
@@ -170,14 +176,15 @@ def test_search_cap():
     ((5, 3, 0, 14), 103, 29),
     ((3, 1, 0, 6), 3, 1),
 ])
-def test_search_cap_trips_at_every_node(args, nodes, solutions):
+def test_search_cap_trips_at_every_node(args, nodes, solutions, monkeypatch):
     assert search(*args).nodes == nodes
     for cap in range(0, nodes + 2):
+        monkeypatch.setattr(curves, "NODE_CAP", cap)
         if cap >= nodes:
-            assert len(search(*args, cap=cap).solutions) == solutions
+            assert len(search(*args).solutions) == solutions
         else:
             with pytest.raises(SearchError, match="exceeds cap"):
-                search(*args, cap=cap)
+                search(*args)
 
 
 def test_search_rejects_a_class_off_the_adjunction_budget(monkeypatch):
@@ -199,13 +206,15 @@ def test_search_rejects_a_class_off_the_adjunction_budget(monkeypatch):
     ((6, 3, 0, 60), 4_955, 380),
     ((7, 4, 0, 56), 26_359, 3_000),
 ])
-def test_search_cap_counts_nodes_visited(args, nodes, solutions):
+def test_search_cap_counts_nodes_visited(args, nodes, solutions, monkeypatch):
     rep = search(*args)
     assert len(rep.solutions) == solutions
     assert rep.nodes == nodes
-    assert len(search(*args, cap=nodes).solutions) == solutions
+    monkeypatch.setattr(curves, "NODE_CAP", nodes)
+    assert len(search(*args).solutions) == solutions
+    monkeypatch.setattr(curves, "NODE_CAP", nodes - 1)
     with pytest.raises(SearchError, match="exceeds cap"):
-        search(*args, cap=nodes - 1)
+        search(*args)
 
 
 @pytest.mark.parametrize("args, genus", [

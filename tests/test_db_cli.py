@@ -53,6 +53,21 @@ def test_run_script_file(capsys, tmp_path):
     assert "genus: 2" in out
 
 
+def test_run_script_ending_in_a_link_after_a_negative_stabilization(capsys, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("strands: 2\nstart: x\nstab -\nins 0 x\n")
+    rc, out = run_cli(capsys, "run-script", str(path))
+    assert rc == 0
+    assert out.splitlines() == [
+        "end: x^2Y (B_3)",
+        "bands: 1\teuler: -1",
+        "slk: -1 -> None",
+        "genus: -",
+        "stabilized: yes (contains negative stabilizations)",
+        "components: 1 1 2",
+    ]
+
+
 def test_verify_corpus(capsys):
     rc, out = run_cli(capsys, "verify-corpus")
     assert rc == 0
@@ -135,6 +150,10 @@ def test_covers_command(capsys):
     rc, out = run_cli(capsys, "covers", "--knot", "m(8_20)", "--r", "3")
     assert rc == 0
     assert "r=3" in out
+    # 10_124 has no recorded filling signature.
+    rc, out = run_cli(capsys, "covers", "--knot", "10_124", "--r", "2")
+    assert rc == 0
+    assert out == "10_124\tr=2\tfilling b2=8\tcap b2=14\tsigma undetermined\n"
 
 
 def test_reproduce_reports(capsys):
@@ -315,6 +334,11 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
      "expected a bare file name"),
     (_database(_RECORD, {**_RECORD, "name": "b", "script": "../knots.json"}),
      "knots[1] (b): field 'script' is '../knots.json', expected a bare file name"),
+    (_database(_RECORD, 3), "knots[1]: expected an object, got an integer"),
+    (_database({**_RECORD, "braid": "xq"}),
+     "knots[0] (m(8_20)): field 'braid': unknown letter 'q' at column 1 in 'xq'"),
+    (json.dumps({"records": [_RECORD]}), "expected an object with a 'knots' array"),
+    (json.dumps([_RECORD]), "expected an object with a 'knots' array"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
@@ -327,3 +351,16 @@ def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, me
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.startswith(f"hatlab: error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_database_record_whose_braid_closes_to_a_link(capsys, tmp_path, monkeypatch):
+    # A failed invariant names the record, not the file.
+    path = tmp_path / "knots.json"
+    path.write_text(_database({**_RECORD, "braid": "x^3yX^3"}))
+    monkeypatch.setenv("HATLAB_DB", str(path))
+    with pytest.raises(DatabaseError) as exc:
+        load_db()
+    assert str(exc.value) == "m(8_20): braid closure is not a knot"
+    rc = main(["covers", "--knot", "m(8_20)", "--r", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", "hatlab: error: m(8_20): braid closure is not a knot\n")
