@@ -14,12 +14,20 @@ checks its combing nor replays its script, so the caller's replay is the
 one certification of every step.
 
 Replay records the closure's component count, the number of cycles of the
-word's permutation, after every move, and recounts it only after ``ins``.
-``conj`` and ``cyc`` conjugate the permutation, a certified ``eq`` keeps it,
-``cc`` keeps it because sigma_i and its inverse are the same transposition,
-and the Markov moves ``stab`` and ``destab`` keep the closure.  The
-self-linking at either end is the exponent sum minus the strands when the
-closure there is a knot.
+word's permutation, after every move.  ``conj`` and ``cyc`` conjugate the
+permutation, a certified ``eq`` keeps it, ``cc`` keeps it because sigma_i
+and its inverse are the same transposition, and the Markov moves ``stab``
+and ``destab`` keep the closure, so these carry the count forward.  An
+``ins`` changes it by exactly one: the new crossing splits the cycle through
+its two strands or merges their two cycles.  Through a run of ``ins`` moves
+replay carries the word's permutation and a cursor, the strands' positions
+after the word's first q letters.  An ``ins`` at p moves the cursor from q
+to p one letter at a time, reads the two strands there, walks one cycle of
+at most n steps and swaps two images, so inserts at neighbouring positions
+cost O(n) each, not a walk of the whole word.  Any other move drops the
+permutation; the next ``ins`` rebuilds it with one walk.  The self-linking
+at either end is the exponent sum minus the strands when the closure there
+is a knot.
 
 Script files are line-oriented text::
 
@@ -154,12 +162,36 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
     """
     w = script.start
     trace = [closure_components(w)]
+    # Through a run of ins moves, perm[s] is the end position of w's strand
+    # starting at s; any other move drops it, and the next ins rebuilds it.
+    perm = None
     for step, move in enumerate(script.moves):
         try:
-            w = apply_move(w, move)
+            after = apply_move(w, move)
         except (ScriptError, BraidError) as e:
             raise ScriptError(f"step {step} ({_move_text(move)}): {e}") from e
-        trace.append(closure_components(w) if move[0] == "ins" else trace[-1])
+        if move[0] != "ins":
+            perm = None
+            trace.append(trace[-1])
+        else:
+            if perm is None:
+                perm, q, at = list(underlying_permutation(w)), 0, list(range(w.strands))
+            # The cursor: at[k] is the strand at position k after w's first q
+            # letters.  A letter's swap undoes itself, so the cursor steps
+            # back by swapping the letters it passes in reverse order.
+            _, p, i = move
+            for g in map(abs, w.letters[q:p] if q < p else reversed(w.letters[p:q])):
+                at[g - 1], at[g] = at[g], at[g - 1]
+            q = p
+            # The new crossing swaps the paths of strands x and y from here
+            # on: it splits their common cycle or merges their two cycles.
+            x, y = at[i - 1], at[i]
+            k = perm[x]
+            while k != x and k != y:
+                k = perm[k]
+            trace.append(trace[-1] + (1 if k == y else -1))
+            perm[x], perm[y] = perm[y], perm[x]
+        w = after
     end = script.declared_end
     if end is not None and end.strands != w.strands:
         raise ScriptError(f"declared end lives in B_{end.strands}, script ends in B_{w.strands}")

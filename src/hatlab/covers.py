@@ -55,9 +55,10 @@ def cy_cover_test(r: int, surface: str, degree: Degree) -> bool:
     """
     if r < 2:
         raise CoverError("need r >= 2")
+    # Exact types: True is not a degree, and a list is not a bidegree.
     if surface == "CP2":
-        if not isinstance(degree, int):
-            raise CoverError("CP2 takes a single degree")
+        if type(degree) is not int:
+            raise CoverError(f"CP2 takes a single degree, got {degree!r}")
         d = degree
         if d % r:
             raise CoverError(f"no cyclic {r}-fold cover: {r} does not divide {d}")
@@ -65,8 +66,8 @@ def cy_cover_test(r: int, surface: str, degree: Degree) -> bool:
         g = plane_curve_genus(d)
         chi = branched_cover_euler(r, 3, 2 - 2 * g)
     elif surface == "P1xP1":
-        if isinstance(degree, int):
-            raise CoverError("P1xP1 takes a bidegree pair")
+        if type(degree) is not tuple or tuple(map(type, degree)) != (int, int):
+            raise CoverError(f"P1xP1 takes a bidegree pair of integers, got {degree!r}")
         a, b = degree
         if a % r or b % r:
             raise CoverError(f"no cyclic {r}-fold cover: {r} does not divide ({a},{b})")

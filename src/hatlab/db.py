@@ -88,12 +88,13 @@ def _record_from_json(obj, where: str) -> KnotRecord:
                       script, target, obj.get("note") or "")
 
 
-def check_record(rec: KnotRecord) -> None:
+def check_record(rec: KnotRecord, where: str) -> None:
+    """Check a record's invariants; a failure raises DatabaseError naming ``where``."""
     if closure_components(rec.braid) != 1:
-        raise DatabaseError(f"{rec.name}: braid closure is not a knot")
+        raise DatabaseError(f"{where}: braid closure is not a knot")
     if rec.slk != 2 * rec.slice_genus - 1:
         raise DatabaseError(
-            f"{rec.name}: slk {rec.slk} != 2*{rec.slice_genus} - 1 "
+            f"{where}: slk {rec.slk} != 2*{rec.slice_genus} - 1 "
             "(quasipositive adjunction violated)"
         )
 
@@ -105,7 +106,7 @@ def load_db() -> list[KnotRecord]:
     otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
     offset, bad JSON with its line and column, a missing, mistyped or unknown
     field with the record's index, name and field, a failed invariant with
-    the record's name, a repeated name with both records' indices.
+    the record's index and name, a repeated name with both records' indices.
     """
     path = os.environ.get("HATLAB_DB")
     if path is not None:
@@ -129,10 +130,10 @@ def load_db() -> list[KnotRecord]:
                for i, obj in enumerate(payload["knots"])]
     first: dict[str, int] = {}  # name -> index of the record that has it
     for i, rec in enumerate(records):
-        check_record(rec)
+        where = f"{source}: knots[{i}] ({rec.name})"
+        check_record(rec, where)
         if first.setdefault(rec.name, i) != i:
-            raise DatabaseError(f"{source}: knots[{i}] ({rec.name}): "
-                                f"name already used by knots[{first[rec.name]}]")
+            raise DatabaseError(f"{where}: name already used by knots[{first[rec.name]}]")
     return records
 
 

@@ -658,6 +658,55 @@ def test_component_trace_matches_every_intermediate_word():
     assert len(kinds) == 8, kinds  # all seven moves, and stab with both signs
 
 
+def _zigzag_script(rng, n):
+    """Long ins runs whose positions jump forwards and backwards, to both ends
+    of the word and back to the same place, broken by the other moves."""
+    cur = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                             for _ in range(rng.randint(0, 2 * n))))
+    start, moves, p = cur, [], 0
+    for _ in range(8):
+        for _ in range(rng.randint(5, 30)):
+            n, length = cur.strands, len(cur)
+            p = rng.choice([0, length, p, p + 1, max(0, p - rng.randint(1, 6)),
+                            rng.randint(0, length)])
+            p = min(p, length)
+            # While the top generator occurs once, insert below it, so that
+            # destab can apply.
+            top_once = sum(abs(g) == n - 1 for g in cur.letters) == 1
+            move = ("ins", p, rng.randint(1, n - 2 if top_once and n > 2 else n - 1))
+            cur = apply_move(cur, move)
+            moves.append(move)
+        n = cur.strands
+        breakers = [("cyc", rng.randint(-len(cur), len(cur))), ("stab", rng.choice([1, -1])),
+                    ("conj", BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                                for _ in range(rng.randint(1, 4)))))]
+        breakers += [("cc", j, -g) for j, g in enumerate(cur.letters) if g < 0][:1]
+        if [g for g in cur.letters if abs(g) == n - 1] == [n - 1] and n > 2:
+            breakers += [("destab",)] * 3
+        move = rng.choice(breakers)
+        cur = apply_move(cur, move)
+        moves.append(move)
+    return MoveScript(start=start, moves=tuple(moves))
+
+
+def test_component_trace_follows_the_insert_cursor_both_ways():
+    # Replay moves a cursor between insert positions; recount the closure
+    # after every move of zig-zag scripts on 2..8 strands.
+    rng = random.Random(19)
+    kinds = set()
+    for n in range(2, 9):
+        for _ in range(6):
+            script = _zigzag_script(rng, n)
+            w = script.start
+            expect = [closure_components(w)]
+            for move in script.moves:
+                w = apply_move(w, move)
+                expect.append(closure_components(w))
+                kinds.add(move if move[0] == "stab" else move[0])
+            assert run_script(script)[1].component_trace == expect, serialize_script(script)
+    assert len(kinds) == 7, kinds  # every move but eq, and stab with both signs
+
+
 @given(_move_scripts())
 @settings(max_examples=200, deadline=None)
 def test_moves_on_arbitrary_scripts_return_words_in_range(script):

@@ -51,8 +51,8 @@ def test_determinant_one_list():
 def test_bad_record_aborts_with_name():
     rec = KnotRecord("bogus", parse_braid("x^3", 2), 0, False)
     with pytest.raises(DatabaseError) as exc:
-        check_record(rec)
-    assert "bogus" in str(exc.value)
+        check_record(rec, "knots[0] (bogus)")
+    assert str(exc.value) == "knots[0] (bogus): slk 1 != 2*0 - 1 (quasipositive adjunction violated)"
 
 
 def _raw_knots() -> list[dict]:

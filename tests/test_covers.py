@@ -66,8 +66,13 @@ def test_cy_cover_divisibility_error():
 @pytest.mark.parametrize("r, surface, degree, message", [
     (1, "CP2", 6, "need r >= 2"),
     (2, "P2", 6, "unknown surface 'P2'"),
-    (2, "CP2", (6, 6), "CP2 takes a single degree"),
-    (2, "P1xP1", 4, "P1xP1 takes a bidegree pair"),
+    (2, "CP2", (6, 6), "CP2 takes a single degree, got (6, 6)"),
+    (2, "CP2", True, "CP2 takes a single degree, got True"),
+    (2, "P1xP1", 4, "P1xP1 takes a bidegree pair of integers, got 4"),
+    (2, "P1xP1", (6,), "P1xP1 takes a bidegree pair of integers, got (6,)"),
+    (2, "P1xP1", (2, 2, 2), "P1xP1 takes a bidegree pair of integers, got (2, 2, 2)"),
+    (2, "P1xP1", [4, 4], "P1xP1 takes a bidegree pair of integers, got [4, 4]"),
+    (2, "P1xP1", (4, True), "P1xP1 takes a bidegree pair of integers, got (4, True)"),
 ])
 def test_cy_cover_input_errors(r, surface, degree, message):
     with pytest.raises(CoverError) as exc:

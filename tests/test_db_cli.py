@@ -68,6 +68,22 @@ def test_run_script_ending_in_a_link_after_a_negative_stabilization(capsys, tmp_
     ]
 
 
+def test_run_script_zigzag_inserts(capsys, tmp_path):
+    # Inserts at positions that jump back and forth, across stab and cyc.
+    path = tmp_path / "s.txt"
+    path.write_text("strands: 3\nstart: xy\nins 2 x\nins 0 y\nins 3 x\nstab +\n"
+                    "ins 1 z\nins 5 y\ncyc 2\nins 0 x\n")
+    rc, out = run_cli(capsys, "run-script", str(path))
+    assert rc == 0
+    assert out.splitlines() == [
+        "end: x^2yxyxzyz (B_4)",
+        "bands: 6\teuler: -6",
+        "slk: -1 -> 5",
+        "genus: 3",
+        "components: 1 2 1 2 2 1 2 2 1",
+    ]
+
+
 def test_verify_corpus(capsys):
     rc, out = run_cli(capsys, "verify-corpus")
     assert rc == 0
@@ -354,13 +370,14 @@ def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, me
 
 
 def test_database_record_whose_braid_closes_to_a_link(capsys, tmp_path, monkeypatch):
-    # A failed invariant names the record, not the file.
+    # A failed invariant names the file, the record's index and its name.
     path = tmp_path / "knots.json"
     path.write_text(_database({**_RECORD, "braid": "x^3yX^3"}))
     monkeypatch.setenv("HATLAB_DB", str(path))
+    message = f"{path}: knots[0] (m(8_20)): braid closure is not a knot"
     with pytest.raises(DatabaseError) as exc:
         load_db()
-    assert str(exc.value) == "m(8_20): braid closure is not a knot"
+    assert str(exc.value) == message
     rc = main(["covers", "--knot", "m(8_20)", "--r", "2"])
     out, err = capsys.readouterr()
-    assert (rc, out, err) == (2, "", "hatlab: error: m(8_20): braid closure is not a knot\n")
+    assert (rc, out, err) == (2, "", f"hatlab: error: {message}\n")
