@@ -35,13 +35,6 @@ class BoundsError(HatlabError):
     pass
 
 
-def slice_genus_qp(slk: int) -> int:
-    """Slice genus of a quasipositive closure from its self-linking number."""
-    if slk % 2 == 0 or slk < -1:
-        raise BoundsError(f"self-linking {slk} is not odd and >= -1")
-    return (slk + 1) // 2
-
-
 def hat_genus_at_degree(slk: int, d: int) -> int:
     """The genus of a degree-d projective hat for a knot with given slk."""
     smooth = plane_curve_genus(d)
@@ -187,7 +180,7 @@ def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport
     if slk % 2 == 0:
         raise BoundsError("self-linking numbers of knots are odd")
     if slice_genus is None and slk >= -1:
-        slice_genus = slice_genus_qp(slk)
+        slice_genus = (slk + 1) // 2
     if slice_genus is None:  # slk < -1: degree 1 has hat genus -(slk+1)/2 >= 0
         d0 = 1
     else:

@@ -24,6 +24,8 @@ mirrored and the power starts at minus the number of negative letters.
 The positive factors are then left-weighted pair by pair, right to left, as
 they arrive, which leaves Delta only at the front and identities only at the
 end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
+Each call builds two factor tables once, the transposition sigma_i and
+C_i = Delta sigma_i^-1 for every i, and each letter appends its entry.
 
 Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
 letter on construction.  ``_word`` builds a word without that check; only
@@ -334,21 +336,6 @@ class NormalForm:
     factors: tuple[tuple[int, ...], ...]
 
 
-def _mul_sigma_right(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # A * sigma_i: swap the values i-1 and i in the image tuple.
-    q = list(p)
-    a, b = q.index(i - 1), q.index(i)
-    q[a], q[b] = q[b], q[a]
-    return tuple(q)
-
-
-def _strip_sigma_left(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    # sigma_i^-1 * B: swap the entries at positions i-1 and i.
-    q = list(p)
-    q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
-
-
 def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
     """Left-weight the pair (a, b) by sliding starting letters of b into a.
 
@@ -382,19 +369,26 @@ def normal_form(w: BraidWord) -> NormalForm:
     n, letters = w.strands, w.letters
     idp = tuple(range(n))
     w0 = tuple(range(n - 1, -1, -1))
-    # Each sigma_i^-1 is Delta^-1 * C_i with C_i = Delta sigma_i^-1 simple.
-    # Moving a Delta^-1 left past a letter conjugates that letter by Delta,
-    # which mirrors its index i -> n - i, so a letter is mirrored once per
-    # negative letter to its right: only the parity of that count matters.
+    # tau[i] = sigma_i swaps the entries i-1, i; c[i] = C_i swaps the values i-1, i of Delta
+    tau = [idp] + [idp[:i - 1] + (i, i - 1) + idp[i + 1:] for i in range(1, n)]
+    c = [w0] + [w0[:n - i - 1] + (i - 1, i) + w0[n - i + 1:] for i in range(1, n)]
+    # Each sigma_i^-1 is Delta^-1 * C_i.  Moving a Delta^-1 left past a
+    # letter conjugates that letter by Delta, which mirrors its index
+    # i -> n - i, so a letter is mirrored once per negative letter to its
+    # right: only the parity of that count matters.
     power = -sum(1 for g in letters if g < 0)
     right = -power  # negative letters to the right of the current one
     fac: list[tuple[int, ...]] = []
-
-    def append_simple(s: tuple[int, ...]):
+    for g in letters:
+        i = abs(g)
+        if g < 0:
+            right -= 1
+        if right & 1:
+            i = n - i
         # An identity (C_1 when n = 2) only ever comes last; it is popped here or at the end.
         while fac and fac[-1] == idp:
             fac.pop()
-        fac.append(s)
+        fac.append(tau[i] if g > 0 else c[i])
         j = len(fac) - 2
         while j >= 0:
             a2, b2 = _fix_pair(fac[j], fac[j + 1])
@@ -402,17 +396,6 @@ def normal_form(w: BraidWord) -> NormalForm:
                 break
             fac[j], fac[j + 1] = a2, b2
             j -= 1
-
-    for g in letters:
-        i = abs(g)
-        if g < 0:
-            right -= 1
-        if right & 1:
-            i = n - i
-        if g > 0:
-            append_simple(_strip_sigma_left(idp, i))  # the transposition tau_i
-        else:
-            append_simple(_mul_sigma_right(w0, i))  # C_i
 
     while fac and fac[0] == w0:
         power += 1

@@ -18,6 +18,9 @@ simple cusp.  Each formula is written once: adjunction and the cap in
 
 All arithmetic is exact; enumeration bounds are explicit so completeness is
 auditable: positivity forces 0 <= b_i <= a for any solution with a > 0.
+The degree walk starts at the least a with a^2 - 3a >= p^2 - p + 2*genus,
+found in closed form with ``isqrt``, so every degree walked visits a node
+and ``NODE_CAP`` bounds the whole search.
 
 A search can emit a quarter of a million classes, so the objects are kept
 small: every class and annotation is a slotted dataclass, and the five
@@ -211,12 +214,12 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     # a rational cuspidal curve with a simple cusp has self-intersection at
     # most 9 once its T(p,p+1) point is blown down (Ohta-Ono)
     self_int_cap = p * p + 9
+    # the budget is negative below the least a with 2a - 3 >= 1 + isqrt(8 + 4 cusps)
+    first = (isqrt(4 * cusps + 8) + 5) // 2
     visited = [0]
     found: list[Annotated] = []
-    for a in range(a_min, a_max + 1):
+    for a in range(max(a_min, first), a_max + 1):
         budget = a * a - 3 * a - cusps
-        if budget < 0:
-            continue
         tuples: list[tuple[int, ...]] = []
         _descending_tuples(blowups, a, budget, [], tuples, visited, NODE_CAP)
         for b in tuples:

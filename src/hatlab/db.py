@@ -3,9 +3,9 @@
 Knot names follow the usual tables but are opaque labels here; braid words
 are the ground truth for every computation (naming conventions elsewhere may
 agree only up to mirroring).  Each record is invariant-checked on load: the
-closure must be a knot and the self-linking number of the braid must equal
-2 * slice_genus - 1, which is the adjunction identity for quasipositive
-braid closures.
+closure must be a knot, ``slice_genus >= 0``, and the self-linking number of
+the braid must equal 2 * slice_genus - 1, which is the adjunction identity
+for quasipositive braid closures.
 
 The database lives in ``data/knots.json``, one JSON object per record,
 and :func:`load_db` is its only reader; hatlab never writes it.  Setting
@@ -92,6 +92,8 @@ def check_record(rec: KnotRecord, where: str) -> None:
     """Check a record's invariants; a failure raises DatabaseError naming ``where``."""
     if closure_components(rec.braid) != 1:
         raise DatabaseError(f"{where}: braid closure is not a knot")
+    if rec.slice_genus < 0:
+        raise DatabaseError(f"{where}: slice genus {rec.slice_genus} is negative")
     if rec.slk != 2 * rec.slice_genus - 1:
         raise DatabaseError(
             f"{where}: slk {rec.slk} != 2*{rec.slice_genus} - 1 "

@@ -16,26 +16,11 @@ from hatlab.bounds import (
     plane_curve_genus,
     semigroup_lb,
     singular_genus_budget,
-    slice_genus_qp,
     t2_table,
     triangular_lb,
     twist_knot_max_slk,
 )
 from oracles import semigroup_elements
-
-
-def test_slice_genus_qp_examples():
-    assert slice_genus_qp(9) == 5
-    assert slice_genus_qp(-1) == 0
-    assert slice_genus_qp(19) == 10
-    assert slice_genus_qp(19) == milnor_genus(3, 11)
-
-
-def test_slice_genus_qp_parity():
-    with pytest.raises(BoundsError):
-        slice_genus_qp(4)
-    with pytest.raises(BoundsError):
-        slice_genus_qp(-3)
 
 
 def test_hat_genus_at_degree_examples():
@@ -274,7 +259,7 @@ def test_bounds_report_degree_lb_is_the_least_feasible_degree():
     for slk in range(-61, 200, 2):
         for g_s in [None] + list(range(0, 40)):
             if g_s is None and slk >= -1:
-                g_s = slice_genus_qp(slk)
+                g_s = (slk + 1) // 2
             if g_s is not None and 2 * g_s < slk + 1:
                 # Slice-Bennequin: no knot with this slk has so small a slice genus.
                 with pytest.raises(BoundsError, match=r"slice-Bennequin: g_s >= \(slk\+1\)/2"):

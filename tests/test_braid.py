@@ -469,6 +469,18 @@ def test_simple_word_of_the_reversal_is_delta():
         assert normal_form(_delta(n)) == NormalForm(n, 1 if n > 1 else 0, ())
 
 
+def test_each_letter_is_one_table_factor():
+    # sigma_i is the factor tau_i; sigma_i^-1 is Delta^-1 C_i with C_i = Delta sigma_i^-1.
+    assert normal_form(BraidWord(2, (1,))) == NormalForm(2, 1, ())
+    assert normal_form(BraidWord(2, (-1,))) == NormalForm(2, -1, ())
+    for n in range(3, 9):
+        for i in range(1, n):
+            tau = underlying_permutation(BraidWord(n, (i,)))
+            c = underlying_permutation(_delta(n) * BraidWord(n, (-i,)))
+            assert normal_form(BraidWord(n, (i,))) == NormalForm(n, 0, (tau,))
+            assert normal_form(BraidWord(n, (-i,))) == NormalForm(n, -1, (c,))
+
+
 def test_delta_squares_to_full_twist():
     for n in range(2, 7):
         assert equal(_delta(n) * _delta(n), full_twist(n))

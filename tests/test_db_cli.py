@@ -159,6 +159,18 @@ def test_search_tsv(capsys):
     ]
 
 
+def test_search_far_below_the_first_degree_returns_at_once():
+    # Degrees below the first with a non-negative budget are skipped in closed
+    # form, so a range of 10^12 degrees below it returns at once.
+    env = {k: v for k, v in os.environ.items() if k != "HATLAB_DB"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hatlab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "hatlab.cli", "search", "--p", str(10**12),
+                           "--blowups", "1", "--amin", "0", "--amax", str(10**12)],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 solutions, 0 surviving"
+
+
 def test_covers_command(capsys):
     rc, out = run_cli(capsys, "covers", "--knot", "12n_242", "--r", "2")
     assert rc == 0
@@ -354,6 +366,9 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
     (_database({**_RECORD, "braid": "xq"}),
      "knots[0] (m(8_20)): field 'braid': unknown letter 'q' at column 1 in 'xq'"),
     (json.dumps({"records": [_RECORD]}), "expected an object with a 'knots' array"),
+    (_database({**_RECORD, "name": "bogus", "strands": 2, "braid": "X", "slice_genus": -1,
+                "determinant_one": True}),
+     "knots[0] (bogus): slice genus -1 is negative"),
     (json.dumps([_RECORD]), "expected an object with a 'knots' array"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
@@ -367,6 +382,18 @@ def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, me
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.startswith(f"hatlab: error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_database_record_with_a_negative_slice_genus(capsys, tmp_path, monkeypatch):
+    # slk -3 = 2*(-1) - 1 would pass the adjunction check; the negative genus fails first.
+    path = tmp_path / "knots.json"
+    path.write_text(_database({**_RECORD, "name": "bogus", "strands": 2, "braid": "X",
+                               "slice_genus": -1, "determinant_one": True}))
+    monkeypatch.setenv("HATLAB_DB", str(path))
+    rc = main(["covers", "--knot", "bogus", "--r", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (
+        2, "", f"hatlab: error: {path}: knots[0] (bogus): slice genus -1 is negative\n")
 
 
 def test_database_record_whose_braid_closes_to_a_link(capsys, tmp_path, monkeypatch):
