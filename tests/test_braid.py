@@ -112,6 +112,28 @@ def test_parse_rejects_non_ascii_digits(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, strands, expected", [
+    # Any Unicode whitespace separates terms; columns count in the stripped text.
+    ("x　Y\t z", 4, (1, -2, 3)),
+    ("x\x1cy", 3, (1, 2)),
+    ("x^-0", 3, ()),
+    # Whitespace may not split a term.
+    ("x ^2", 3, "unknown letter '^' at column 2 in 'x ^2'"),
+    ("s 3", 4, "numeric generator needs digits at column 0: 's 3'"),
+    ("", 0, "strand count must be >= 1, got 0"),
+    ("  ", 0, "strand count must be >= 1, got 0"),
+    # A zero power still checks its letter's index.
+    ("z^0", 3, "letter index 3 at column 0 in 'z^0' is outside 1..2 for 3 strands"),
+])
+def test_parse_edge_cases(text, strands, expected):
+    if isinstance(expected, tuple):
+        assert parse_braid(text, strands).letters == expected
+    else:
+        with pytest.raises(BraidError) as exc:
+            parse_braid(text, strands)
+        assert str(exc.value) == expected
+
+
 def test_printer_round_trip():
     for text, n in [("xy^2x^2y^7", 3), ("xyXY", 3), ("X^3yx^3yzYz", 4), ("", 2)]:
         w = parse_braid(text, n)
