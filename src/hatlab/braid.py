@@ -43,6 +43,7 @@ its positive permutation braid.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import HatlabError
@@ -53,6 +54,8 @@ class BraidError(HatlabError):
 
 
 _LETTERS = "xyzw"
+_SIGNED = {c: i for i, c in enumerate(_LETTERS, 1)}  # the signed generator of each letter
+_SIGNED |= {c.upper(): -i for c, i in _SIGNED.items()}  # capitals are inverses
 
 
 @dataclass(frozen=True)
@@ -103,60 +106,48 @@ def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
+# One term of braid text; its digit runs may be empty, so parse_braid can say where.
+_TERM = re.compile(r"\s*([xyzwXYZW]|[sS]([0-9]*))(\^-?[0-9]*)?")
+
+
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse braid text into a word in B_strands.
 
-    Grammar: ``word := term*``, ``term := letter ('^' int)?``; whitespace is
-    ignored.  Letters are x, y, z, w for sigma_1..sigma_4 with capitals for
+    Grammar: ``word := term*``, ``term := letter ('^' '-'? digits)?``.
+    Whitespace may separate terms but not split one, and digits are ASCII.
+    Letters are x, y, z, w for sigma_1..sigma_4 with capitals for
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
-    Negative powers invert the letter, so ``x^-3`` equals ``X^3``.  Digits are ASCII.
+    Negative powers invert the letter, so ``x^-3`` equals ``X^3``.
     A lone ``1`` is the empty word, as :func:`braid_text` prints it.
+    Each error names its column in the stripped text.
     """
-    letters: list[int] = []
-    i = 0
     text = text.strip()
-    if text == "1":
+    if text in ("", "1"):
         return BraidWord(strands)
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in "sS":
-            j = i + 1
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j == i + 1:
-                raise BraidError(f"numeric generator needs digits at column {i}: {text!r}")
-            index = int(text[i + 1:j])
-            sign = 1 if ch == "s" else -1
-            i = j
-        elif ch.lower() in _LETTERS:
-            index = _LETTERS.index(ch.lower()) + 1
-            sign = 1 if ch.islower() else -1
-            i += 1
-        else:
-            raise BraidError(f"unknown letter {ch!r} at column {i} in {text!r}")
-        power = 1
-        if i < len(text) and text[i] == "^":
-            j = i + 1
-            if j < len(text) and text[j] == "-":
-                j += 1
-            k = j
-            while k < len(text) and "0" <= text[k] <= "9":
-                k += 1
-            if k == j:
-                raise BraidError(f"malformed power at column {i} in {text!r}")
-            power = int(text[i + 1:k])
-            i = k
-        if index < 1 or index >= strands:
-            raise BraidError(f"letter index {index} at column {start} in {text!r} is "
+    letters: list[int] = []
+    i = 0  # where the next term must start
+    for m in _TERM.finditer(text):
+        if m.start() != i:
+            break
+        name, digits, power = m.groups()
+        if digits == "":
+            raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
+        if power in ("^", "^-"):
+            raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+        g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
+        if not 0 < abs(g) < strands:
+            raise BraidError(f"letter index {abs(g)} at column {m.start(1)} in {text!r} is "
                              f"outside 1..{strands - 1} for {strands} strands")
-        if power < 0:
-            sign, power = -sign, -power
-        letters.extend([sign * index] * power)
-    return BraidWord(strands, tuple(letters))
+        if power:
+            count = int(power[1:])
+            letters.extend([g if count > 0 else -g] * abs(count))
+        else:
+            letters.append(g)
+        i = m.end()
+    if i < len(text):
+        i = len(text) - len(text[i:].lstrip())
+        raise BraidError(f"unknown letter {text[i]!r} at column {i} in {text!r}")
+    return _word(strands, tuple(letters))
 
 
 def _letter_name(index: int, positive: bool) -> str:

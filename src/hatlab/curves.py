@@ -31,7 +31,9 @@ tests each leaf ``b_N(b_N - 1) == budget`` in a loop rather than one call
 per leaf.  Each emitted class is annotated in one pass: its coefficients
 are summed once (``sum b_i`` and ``sum b_i^2``) for adjunction and the cap,
 and the positivity flags sort only the five largest entries with the two
-sentinels.
+sentinels.  A class passes when ``all_permuted`` holds, which implies the
+other four flags: the two (five) largest of b and the sentinels sum to at
+least any other two (five) of them.
 """
 
 from __future__ import annotations
@@ -78,9 +80,8 @@ class GromovDetail:
 
     @property
     def passes(self) -> bool:
-        return (self.line_with_cusp and self.line_two_points
-                and self.conic_with_cusp and self.conic_five_points
-                and self.all_permuted)
+        # the top two (five) of b and the sentinels outweigh any two (five): this implies the rest
+        return self.all_permuted
 
 
 _ZEROS = (0,) * 5

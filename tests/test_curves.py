@@ -131,6 +131,21 @@ def test_gromov_matches_the_formulas_on_any_class(p, a, b):
     assert astuple(curves._gromov(p, c.a, c.b)) == gromov_flags(p, c)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=20),
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=0, max_value=70), max_size=9),
+)
+def test_all_permuted_implies_the_named_inequalities(p, a, b):
+    # entries above p and above a included, so no hypothesis of a search is assumed
+    d = curves._gromov(p, a, tuple(sorted(b, reverse=True)))
+    if d.all_permuted:
+        assert d.line_with_cusp and d.line_two_points
+        assert d.conic_with_cusp and d.conic_five_points
+    assert d.passes == d.all_permuted
+
+
 def test_search_solutions_reverify():
     rep = search(5, 3, 0, 14, genus=0)
     assert rep.solutions
