@@ -107,7 +107,13 @@ def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 # One term of braid text; its digit runs may be empty, so parse_braid can say where.
-_TERM = re.compile(r"\s*([xyzwXYZW]|[sS]([0-9]*))(\^-?[0-9]*)?")
+_TERM = re.compile(rf"\s*([{_LETTERS}{_LETTERS.upper()}]|[sS]([0-9]*))(\^-?[0-9]*)?")
+_GENERATOR_NAME = re.compile(rf"[{_LETTERS}]|s([0-9]+)")
+
+
+def _range_error(index: int, column: int, text: str, strands: int) -> BraidError:
+    return BraidError(f"letter index {index} at column {column} in {text!r} is "
+                      f"outside 1..{strands - 1} for {strands} strands")
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
@@ -136,8 +142,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
         g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
         if not 0 < abs(g) < strands:
-            raise BraidError(f"letter index {abs(g)} at column {m.start(1)} in {text!r} is "
-                             f"outside 1..{strands - 1} for {strands} strands")
+            raise _range_error(abs(g), m.start(1), text, strands)
         if power:
             count = int(power[1:])
             letters.extend([g if count > 0 else -g] * abs(count))
@@ -150,8 +155,19 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return _word(strands, tuple(letters))
 
 
+def parse_generator(token: str, strands: int) -> int:
+    """Read a generator operand, ``x``..``w`` or ``s<k>`` with no power, as its index."""
+    m = _GENERATOR_NAME.fullmatch(token)
+    if m is None:
+        raise BraidError(f"expected a single positive generator, got {token!r}")
+    i = _SIGNED[token] if m[1] is None else int(m[1])
+    if not 0 < i < strands:
+        raise _range_error(i, 0, token, strands)
+    return i
+
+
 def _letter_name(index: int, positive: bool) -> str:
-    if index <= 4:
+    if 0 < index <= 4:
         name = _LETTERS[index - 1]
         return name if positive else name.upper()
     return f"s{index}" if positive else f"S{index}"
@@ -164,22 +180,14 @@ def braid_text(w: BraidWord) -> str:
     the numeric ``s<k>`` form, and the empty word prints as ``1``.
     """
     out: list[str] = []
-    run_letter = 0
-    run_len = 0
-
-    def flush():
-        if run_len == 0:
-            return
-        name = _letter_name(abs(run_letter), run_letter > 0)
-        out.append(name if run_len == 1 else f"{name}^{run_len}")
-
-    for g in w.letters:
-        if g == run_letter:
-            run_len += 1
-        else:
-            flush()
-            run_letter, run_len = g, 1
-    flush()
+    run_letter, run_len = 0, 0
+    for g in w.letters + (0,):  # the sentinel 0 ends the last run
+        if g != run_letter:
+            if run_len:
+                name = _letter_name(abs(run_letter), run_letter > 0)
+                out.append(name if run_len == 1 else f"{name}^{run_len}")
+            run_letter, run_len = g, 0
+        run_len += 1
     return "".join(out) or "1"
 
 

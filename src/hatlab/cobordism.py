@@ -52,7 +52,8 @@ A move is its line, a token and its operands; in code it is the tuple
     destab                       ("destab",)
 
 Positions (0-based letter indices) and shifts are integers; a generator is
-one positive letter, read as its index, and a word is braid text without
+one positive letter name with no power, ``x``..``w`` or ``s<k>``, read as
+its index by ``braid.parse_generator``, and a word is braid text without
 spaces (``1`` is the empty word), both in the strand count current at that
 line.  ``stab -`` is the transverse stabilization: the ledger flags it and
 the self-linking drops by 2.  Blank lines and ``#`` comments are ignored; any
@@ -68,7 +69,6 @@ from typing import Optional
 
 from . import HatlabError
 from .braid import (
-    _LETTERS,
     BraidError,
     BraidWord,
     _letter_name,
@@ -85,6 +85,7 @@ from .braid import (
     markov_destabilize,
     markov_stabilize,
     parse_braid,
+    parse_generator,
     simple_word,
     underlying_permutation,
 )
@@ -221,19 +222,6 @@ def _read_int(token: str, strands: int) -> int:
     return int(token)
 
 
-_GENERATOR_INDEX = {name: i for i, name in enumerate(_LETTERS, 1)}
-
-
-def _read_generator(token: str, strands: int) -> int:
-    i = _GENERATOR_INDEX.get(token)
-    if i is not None and i < strands:
-        return i
-    w = parse_braid(token, strands)
-    if len(w.letters) != 1 or w.letters[0] < 0:
-        raise ScriptError(f"expected a single positive generator, got {token!r}")
-    return w.letters[0]
-
-
 def _read_sign(token: str, strands: int) -> int:
     if token not in ("+", "-"):
         raise ScriptError(f"expected sign '+' or '-', got {token!r}")
@@ -242,7 +230,7 @@ def _read_sign(token: str, strands: int) -> int:
 
 _INT = (_read_int, str, int)
 # The writers print an operand out of range as it is, so that an error names it.
-_GENERATOR = (_read_generator, lambda i: _letter_name(i, True) if i > 0 else f"s{i}", int)
+_GENERATOR = (parse_generator, lambda i: _letter_name(i, True), int)
 _WORD = (lambda token, strands: parse_braid(token, strands), lambda w: braid_text(w), BraidWord)
 _SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)), int)
 

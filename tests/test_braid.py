@@ -23,10 +23,12 @@ from hatlab.braid import (
     markov_stabilize,
     normal_form,
     parse_braid,
+    parse_generator,
     self_linking,
     simple_word,
     underlying_permutation,
 )
+from hatlab.cobordism import _move_text
 from oracles import artin_equal, closure_orbits
 
 
@@ -140,6 +142,21 @@ def test_printer_round_trip():
         assert parse_braid(braid_text(w), n) == w
     w = BraidWord(7, (6, -6, 5, 5))
     assert parse_braid(braid_text(w), 7) == w
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_generator_names_read_back(n):
+    # Every generator's printed name reads back as its index, and nothing
+    # but a bare positive name reads as a generator.
+    for i in range(1, n):
+        name = braid._letter_name(i, True)
+        assert parse_generator(name, n) == i
+        assert braid_text(BraidWord(n, (i,))) == name
+    for token in ("x^1", "X^-1", "q", "S5", "s", "s٥"):
+        with pytest.raises(BraidError, match="expected a single positive generator"):
+            parse_generator(token, n)
+    assert braid._letter_name(0, True) == "s0"
+    assert _move_text(("ins", 0, 0)) == "ins 0 s0"
 
 
 # ---------------------------------------------------------------------------
