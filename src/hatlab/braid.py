@@ -27,6 +27,12 @@ end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
 Each call builds two factor tables once, the transposition sigma_i and
 C_i = Delta sigma_i^-1 for every i, and each letter appends its entry.
 
+This module owns every spelling of a letter: ``parse_braid`` reads braid
+text, ``parse_generator`` reads one generator operand of a script (a
+positive letter name with no power), and ``braid_text`` prints words, all
+from the one alphabet ``_LETTERS``.  ``parse_braid`` reads no word longer
+than ``MAX_LETTERS`` letters and checks each power before expanding it.
+
 Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
 letter on construction.  ``_word`` builds a word without that check; only
 code that derives a word from words it was given uses it (the operations
@@ -56,6 +62,8 @@ class BraidError(HatlabError):
 _LETTERS = "xyzw"
 _SIGNED = {c: i for i, c in enumerate(_LETTERS, 1)}  # the signed generator of each letter
 _SIGNED |= {c.upper(): -i for c, i in _SIGNED.items()}  # capitals are inverses
+
+MAX_LETTERS = 1_000_000  # the longest word parse_braid reads
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,11 @@ def _range_error(index: int, column: int, text: str, strands: int) -> BraidError
                       f"outside 1..{strands - 1} for {strands} strands")
 
 
+def _digits_error(column: int, text: str) -> BraidError:
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    return BraidError(f"term at column {column} in {text!r} has a number too long to read")
+
+
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse braid text into a word in B_strands.
 
@@ -125,33 +138,44 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
     Negative powers invert the letter, so ``x^-3`` equals ``X^3``.
     A lone ``1`` is the empty word, as :func:`braid_text` prints it.
-    Each error names its column in the stripped text.
+    A word of more than ``MAX_LETTERS`` letters is refused, a power before
+    it is expanded.  Each error names its column in the stripped text.
     """
     text = text.strip()
     if text in ("", "1"):
         return BraidWord(strands)
     letters: list[int] = []
     i = 0  # where the next term must start
-    for m in _TERM.finditer(text):
-        if m.start() != i:
-            break
-        name, digits, power = m.groups()
-        if digits == "":
-            raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
-        if power in ("^", "^-"):
-            raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
-        g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
-        if not 0 < abs(g) < strands:
-            raise _range_error(abs(g), m.start(1), text, strands)
-        if power:
-            count = int(power[1:])
-            letters.extend([g if count > 0 else -g] * abs(count))
-        else:
-            letters.append(g)
-        i = m.end()
+    try:
+        for m in _TERM.finditer(text):
+            if m.start() != i:
+                break
+            name, digits, power = m.groups()
+            if digits == "":
+                raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
+            if power in ("^", "^-"):
+                raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+            g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
+            if not 0 < abs(g) < strands:
+                raise _range_error(abs(g), m.start(1), text, strands)
+            if power:
+                count = int(power[1:])
+                if len(letters) + abs(count) > MAX_LETTERS:
+                    raise BraidError(f"power at column {m.start(3)} in {text!r} makes the word "
+                                     f"longer than {MAX_LETTERS} letters")
+                letters.extend([g if count > 0 else -g] * abs(count))
+            else:
+                letters.append(g)
+            i = m.end()
+    except BraidError:
+        raise
+    except ValueError:
+        raise _digits_error(m.start(1), text) from None
     if i < len(text):
         i = len(text) - len(text[i:].lstrip())
         raise BraidError(f"unknown letter {text[i]!r} at column {i} in {text!r}")
+    if len(letters) > MAX_LETTERS:
+        raise BraidError(f"word of {len(letters)} letters is longer than {MAX_LETTERS} letters")
     return _word(strands, tuple(letters))
 
 
@@ -160,7 +184,10 @@ def parse_generator(token: str, strands: int) -> int:
     m = _GENERATOR_NAME.fullmatch(token)
     if m is None:
         raise BraidError(f"expected a single positive generator, got {token!r}")
-    i = _SIGNED[token] if m[1] is None else int(m[1])
+    try:
+        i = _SIGNED[token] if m[1] is None else int(m[1])
+    except ValueError:
+        raise _digits_error(0, token) from None
     if not 0 < i < strands:
         raise _range_error(i, 0, token, strands)
     return i

@@ -219,7 +219,10 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 def _read_int(token: str, strands: int) -> int:
     if not re.fullmatch(r"-?[0-9]+", token):
         raise ScriptError(f"expected an integer, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise ScriptError(f"integer of {len(token)} characters is too long to read") from None
 
 
 def _read_sign(token: str, strands: int) -> int:

@@ -204,7 +204,9 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     (10,000,000) bounds the work done: the search raises
     :class:`SearchError` once the enumeration has visited more than
     ``NODE_CAP`` nodes over all degrees; ``nodes`` in the report is the
-    count visited.
+    count visited.  The walk nests one call per blow-up, so a search with
+    more blow-ups than Python's recursion limit allows raises
+    :class:`SearchError` too.
     """
     if p < 2:
         raise SearchError("need p >= 2")
@@ -222,7 +224,11 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     for a in range(max(a_min, first), a_max + 1):
         budget = a * a - 3 * a - cusps
         tuples: list[tuple[int, ...]] = []
-        _descending_tuples(blowups, a, budget, [], tuples, visited, NODE_CAP)
+        try:
+            _descending_tuples(blowups, a, budget, [], tuples, visited, NODE_CAP)
+        except RecursionError:  # the walk nests one call per blow-up
+            raise SearchError(f"{blowups} blow-ups nest the enumeration deeper than "
+                              "Python's recursion limit") from None
         for b in tuples:
             self_int = a * a - sum(map(mul, b, b))
             if self_int != cusps + 3 * a - sum(b):

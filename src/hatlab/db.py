@@ -106,7 +106,8 @@ def load_db() -> list[KnotRecord]:
 
     Reads the file ``HATLAB_DB`` names if it is set, the embedded database
     otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
-    offset, bad JSON with its line and column, a missing, mistyped or unknown
+    offset, bad JSON with its line and column (an integer too long to read
+    with the file alone), a missing, mistyped or unknown
     field with the record's index, name and field, a failed invariant with
     the record's index and name, a repeated name with both records' indices.
     """
@@ -126,6 +127,8 @@ def load_db() -> list[KnotRecord]:
     except json.JSONDecodeError as e:
         raise DatabaseError(f"{source}: invalid JSON at line {e.lineno}, "
                             f"column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer longer than int() reads
+        raise DatabaseError(f"{source}: invalid number: {e}") from e
     if type(payload) is not dict or type(payload.get("knots")) is not list:
         raise DatabaseError(f"{source}: expected an object with a 'knots' array")
     records = [_record_from_json(obj, f"{source}: knots[{i}]")

@@ -136,6 +136,31 @@ def test_parse_edge_cases(text, strands, expected):
         assert str(exc.value) == expected
 
 
+def test_parse_bounds_the_word_by_max_letters():
+    assert braid.MAX_LETTERS == 1_000_000
+    assert len(parse_braid("x^999999X", 2)) == braid.MAX_LETTERS
+    for text, message in [
+        ("x^1000001", "power at column 1 in 'x^1000001' makes the word longer than 1000000 letters"),
+        ("xX^1000000", "power at column 2 in 'xX^1000000' makes the word longer than 1000000 letters"),
+        ("x^-99999999999999999999",
+         "power at column 1 in 'x^-99999999999999999999' makes the word longer than 1000000 letters"),
+        ("x^1000000x", "word of 1000001 letters is longer than 1000000 letters"),
+    ]:
+        with pytest.raises(BraidError) as exc:
+            parse_braid(text, 2)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, column", [
+    ("x^" + "9" * 5000, 0), ("xs" + "9" * 5000, 1), ("xS" + "0" * 5000 + "1", 1),
+], ids=["power", "index", "leading-zeros"])
+def test_parse_refuses_numbers_too_long_to_read(text, column):
+    # int() reads at most 4300 digits; a longer run is an input error naming its term.
+    with pytest.raises(BraidError) as exc:
+        parse_braid(text, 3)
+    assert str(exc.value) == f"term at column {column} in {text!r} has a number too long to read"
+
+
 def test_printer_round_trip():
     for text, n in [("xy^2x^2y^7", 3), ("xyXY", 3), ("X^3yx^3yzYz", 4), ("", 2)]:
         w = parse_braid(text, n)

@@ -273,6 +273,15 @@ _GENERATOR_ERRORS = [
     (HEAD + "ins 0 x^2\n", "line 3: expected a single positive generator, got 'x^2'"),
     (HEAD + "ins 0 s0\n", "line 3: letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
     (HEAD + "ins 0 s3\n", "line 3: letter index 3 at column 0 in 's3' is outside 1..2 for 3 strands"),
+    # A generator is a letter name with no power: a power of one, an inverse
+    # or anything that is not a name does not read.
+    (HEAD + "ins 0 x^1\n", "line 3: expected a single positive generator, got 'x^1'"),
+    (HEAD + "cc 0 X^-1\n", "line 3: expected a single positive generator, got 'X^-1'"),
+    ("strands: 6\nstart: x\nins 0 s5^1\n",
+     "line 3: expected a single positive generator, got 's5^1'"),
+    (HEAD + "ins 0 q\n", "line 3: expected a single positive generator, got 'q'"),
+    (HEAD + "ins 0 S9\n", "line 3: expected a single positive generator, got 'S9'"),
+    (HEAD + "ins 0 s\n", "line 3: expected a single positive generator, got 's'"),
 ]
 
 
@@ -299,8 +308,8 @@ def test_malformed_script_lines_name_their_line(text, lineno):
 
 @pytest.mark.parametrize("text, message", _GENERATOR_ERRORS)
 def test_malformed_generators_keep_their_errors(text, message):
-    # A lone x, y, z or w in range is read without parse_braid; every other
-    # token still goes through it, so its error text is parse_braid's.
+    # braid.parse_generator reads every generator operand; its range error
+    # is the one parse_braid raises.
     with pytest.raises(ScriptError) as exc:
         parse_script(text)
     assert str(exc.value) == message

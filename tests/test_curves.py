@@ -178,6 +178,13 @@ def test_search_rejects_an_empty_degree_range():
         search(3, 1, 5, 4)
 
 
+def test_search_refuses_more_blowups_than_the_walk_can_nest():
+    # The walk nests one call per blow-up: a deeper search is an input error.
+    with pytest.raises(SearchError, match=r"^5000 blow-ups nest the enumeration deeper than "):
+        search(3, 5000, 0, 6)
+    assert len(search(3, 200, 0, 6).solutions) == 990
+
+
 def test_search_cap(monkeypatch):
     monkeypatch.setattr(curves, "NODE_CAP", 1000)
     with pytest.raises(SearchError):

@@ -243,6 +243,18 @@ def test_reproduce_cover_books_output(capsys):
     (["run-script", "{bad_eq}"], "step 0 (eq 1): uncertifiable rewrite: xyxy != 1"),
     (["bounds", "--slk", "9", "--slice-genus", "2"],
      "slice genus 2 violates slice-Bennequin: g_s >= (slk+1)/2 = 5"),
+    # Numbers in text are input errors, however long.
+    (["slk", "x^99999999999999999999", "--strands", "2"],
+     "power at column 1 in 'x^99999999999999999999' makes the word longer than 1000000 letters"),
+    (["slk", "x^1000001", "--strands", "2"],
+     "power at column 1 in 'x^1000001' makes the word longer than 1000000 letters"),
+    (["slk", "x^" + "9" * 5000, "--strands", "2"], "term at column 0 in 'x^999"),
+    (["slk", "s" + "9" * 5000, "--strands", "2"], "term at column 0 in 's999"),
+    (["run-script", "{big_cyc}"], "line 3: integer of 5000 characters is too long to read"),
+    (["run-script", "{big_ins}"], "line 3: term at column 0 in 's999"),
+    (["run-script", "{power_one}"], "line 3: expected a single positive generator, got 'x^1'"),
+    (["search", "--p", "3", "--blowups", "5000", "--amin", "0", "--amax", "6"],
+     "5000 blow-ups nest the enumeration deeper than Python's recursion limit"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
@@ -253,8 +265,15 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     bad_step.write_text("strands: 3\nstart: xy\nins 5 x\n")
     bad_eq = tmp_path / "bad_eq.txt"
     bad_eq.write_text("strands: 3\nstart: xyxy\neq 1\n")
+    big_cyc = tmp_path / "big_cyc.txt"
+    big_cyc.write_text("strands: 3\nstart: xy\ncyc " + "9" * 5000 + "\n")
+    big_ins = tmp_path / "big_ins.txt"
+    big_ins.write_text("strands: 3\nstart: xy\nins 0 s" + "9" * 5000 + "\n")
+    power_one = tmp_path / "power_one.txt"
+    power_one.write_text("strands: 3\nstart: xy\nins 0 x^1\n")
     paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1,
-             "bad_step": bad_step, "bad_eq": bad_eq}
+             "bad_step": bad_step, "bad_eq": bad_eq, "big_cyc": big_cyc, "big_ins": big_ins,
+             "power_one": power_one}
     rc = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
@@ -370,6 +389,8 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
                 "determinant_one": True}),
      "knots[0] (bogus): slice genus -1 is negative"),
     (json.dumps([_RECORD]), "expected an object with a 'knots' array"),
+    pytest.param(_database(_RECORD).replace('"strands": 3', '"strands": ' + "9" * 5000),
+                 "invalid number: ", id="integer-too-long-to-read"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
