@@ -138,39 +138,38 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
     Negative powers invert the letter, so ``x^-3`` equals ``X^3``.
     A lone ``1`` is the empty word, as :func:`braid_text` prints it.
-    A word of more than ``MAX_LETTERS`` letters is refused, a power before
-    it is expanded.  Each error names its column in the stripped text.
+    A word longer than ``MAX_LETTERS`` letters is refused; a power is
+    checked before it is expanded.  Each error names its column in the
+    stripped text.
     """
     text = text.strip()
     if text in ("", "1"):
         return BraidWord(strands)
     letters: list[int] = []
     i = 0  # where the next term must start
-    try:
-        for m in _TERM.finditer(text):
-            if m.start() != i:
-                break
-            name, digits, power = m.groups()
-            if digits == "":
-                raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
-            if power in ("^", "^-"):
-                raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+    for m in _TERM.finditer(text):
+        if m.start() != i:
+            break
+        name, digits, power = m.groups()
+        if digits == "":
+            raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
+        if power in ("^", "^-"):
+            raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+        try:
             g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
-            if not 0 < abs(g) < strands:
-                raise _range_error(abs(g), m.start(1), text, strands)
-            if power:
-                count = int(power[1:])
-                if len(letters) + abs(count) > MAX_LETTERS:
-                    raise BraidError(f"power at column {m.start(3)} in {text!r} makes the word "
-                                     f"longer than {MAX_LETTERS} letters")
-                letters.extend([g if count > 0 else -g] * abs(count))
-            else:
-                letters.append(g)
-            i = m.end()
-    except BraidError:
-        raise
-    except ValueError:
-        raise _digits_error(m.start(1), text) from None
+            count = int(power[1:]) if power else 1
+        except ValueError:
+            raise _digits_error(m.start(1), text) from None
+        if not 0 < abs(g) < strands:
+            raise _range_error(abs(g), m.start(1), text, strands)
+        if power:
+            if len(letters) + abs(count) > MAX_LETTERS:
+                raise BraidError(f"power at column {m.start(3)} in {text!r} makes the word "
+                                 f"longer than {MAX_LETTERS} letters")
+            letters.extend([g if count > 0 else -g] * abs(count))
+        else:
+            letters.append(g)
+        i = m.end()
     if i < len(text):
         i = len(text) - len(text[i:].lstrip())
         raise BraidError(f"unknown letter {text[i]!r} at column {i} in {text!r}")

@@ -106,9 +106,9 @@ def load_db() -> list[KnotRecord]:
 
     Reads the file ``HATLAB_DB`` names if it is set, the embedded database
     otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
-    offset, bad JSON with its line and column (an integer too long to read
-    with the file alone), a missing, mistyped or unknown
-    field with the record's index, name and field, a failed invariant with
+    offset, bad JSON with its line and column, an integer too long for
+    ``int()`` with the file's name, a missing, mistyped or unknown field
+    with the record's index, name and field, a failed invariant with
     the record's index and name, a repeated name with both records' indices.
     """
     path = os.environ.get("HATLAB_DB")

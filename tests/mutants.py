@@ -50,13 +50,25 @@ MUTANTS = [
      "    if len(letters) > MAX_LETTERS + 1:\n", "test_braid.py"),
     # self_linking: the strand count is not subtracted
     ("braid.py", "return exponent_sum(w) - w.strands", "return exponent_sum(w)", "test_braid.py"),
+    # simple_word: strands are bubbled into place leftmost first
+    ("braid.py", "for dest in range(n - 1, -1, -1):", "for dest in range(n):", "test_braid.py"),
+    # replay: the insert cursor steps forward through the passed letters in reverse order
+    ("cobordism.py", "w.letters[q:p] if q < p", "w.letters[q:p][::-1] if q < p",
+     "test_cobordism.py"),
     # replay: the insert cursor steps back through the passed letters in forward order
     ("cobordism.py", "else reversed(w.letters[p:q])", "else w.letters[p:q]", "test_cobordism.py"),
     # replay: cyc keeps the permutation of the word before it
     ("cobordism.py", '            perm = None\n            trace.append(trace[-1])',
      '            perm = perm if move[0] == "cyc" else None\n            trace.append(trace[-1])',
      "test_cobordism.py"),
-    # triangular_lb: the closed-form least degree is off by one half
+    # replay: stab and destab keep the permutation of the word before them
+    ("cobordism.py", '            perm = None\n            trace.append(trace[-1])',
+     '            perm = perm if move[0] in ("stab", "destab") else None\n'
+     '            trace.append(trace[-1])', "test_cobordism.py"),
+    # bounds_report: a slice genus below (slk+1)/2 is accepted
+    ("bounds.py", "if 2 * slice_genus < slk + 1:", "if 2 * slice_genus < slk - 1:",
+     "test_bounds.py"),
+    # triangular_lb: the least degree is one too high whenever isqrt(8 g_s) is even
     ("bounds.py", "(isqrt(8 * g_s) + 5) // 2", "(isqrt(8 * g_s) + 6) // 2", "test_bounds.py"),
 ]
 
