@@ -44,7 +44,8 @@ left to right, and the permutation of a word maps the starting position of
 a strand to its ending position.  A permutation has one representation, the
 tuple of 0-based images: ``underlying_permutation`` returns it, the factors
 of a ``NormalForm`` are stored as it, and ``simple_word`` turns it back into
-its positive permutation braid.
+its positive permutation braid.  ``_carry`` alone moves strands through
+letters and ``_cycle`` alone walks a cycle, for this module and ``cobordism``.
 """
 
 from __future__ import annotations
@@ -230,14 +231,26 @@ def inverse(w: BraidWord) -> BraidWord:
     return _word(w.strands, tuple(-g for g in reversed(w.letters)))
 
 
+def _carry(at: list[int], letters) -> list[int]:
+    """Carry ``at[q]``, the strand at position q, through letters: sigma_i of
+    either sign swaps positions i-1 and i.  Updates ``at`` and returns it."""
+    for i in map(abs, letters):
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return at
+
+
+def _cycle(perm, start: int) -> list[int]:
+    """The cycle of ``perm`` through ``start``, in order from ``start``."""
+    cycle = [start]
+    while perm[cycle[-1]] != start:
+        cycle.append(perm[cycle[-1]])
+    return cycle
+
+
 def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
     """The permutation sending each strand's start position to its end, 0-based."""
-    # at_pos[q + 1] = strand currently at position q, so sigma_i swaps at_pos[i], at_pos[i + 1]
-    at_pos = [0, *range(w.strands)]
-    for i in map(abs, w.letters):
-        at_pos[i], at_pos[i + 1] = at_pos[i + 1], at_pos[i]
     images = [0] * w.strands
-    for q, s in enumerate(at_pos[1:]):
+    for q, s in enumerate(_carry(list(range(w.strands)), w.letters)):
         images[s] = q
     return tuple(images)
 
@@ -245,15 +258,11 @@ def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
 def closure_components(w: BraidWord) -> int:
     """Number of components of the closure: cycles of the permutation."""
     perm = underlying_permutation(w)
-    seen = [False] * w.strands
+    unseen = set(range(w.strands))
     count = 0
-    for start in range(w.strands):
-        if not seen[start]:
-            count += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = perm[p]
+    while unseen:
+        count += 1
+        unseen.difference_update(_cycle(perm, unseen.pop()))
     return count
 
 
@@ -324,12 +333,12 @@ def simple_word(perm: tuple[int, ...]) -> BraidWord:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise BraidError(f"not a permutation of 0..{n - 1}: {perm}")
-    at_pos = list(range(n))  # at_pos[q] = strand currently at position q
+    at = list(range(n))  # at[q] = strand currently at position q
     letters: list[int] = []
     for dest in range(n - 1, -1, -1):
-        for q in range(at_pos.index(perm.index(dest)), dest):
-            at_pos[q], at_pos[q + 1] = at_pos[q + 1], at_pos[q]
-            letters.append(q + 1)
+        run = range(at.index(perm.index(dest)) + 1, dest + 1)  # bubbles that strand to dest
+        _carry(at, run)
+        letters += run
     w = BraidWord(n, tuple(letters))
     if underlying_permutation(w) != tuple(perm):
         raise BraidError("internal error: permutation braid construction failed")

@@ -22,10 +22,10 @@ and ``destab`` keep the closure, so these carry the count forward.  An
 its two strands or merges their two cycles.  Through a run of ``ins`` moves
 replay carries the word's permutation and a cursor, the strands' positions
 after the word's first q letters.  An ``ins`` at p moves the cursor from q
-to p one letter at a time, reads the two strands there, walks one cycle of
-at most n steps and swaps two images, so inserts at neighbouring positions
-cost O(n) each, not a walk of the whole word.  Any other move drops the
-permutation; the next ``ins`` rebuilds it with one walk.  The self-linking
+to p with ``braid._carry``, reads the two strands there, walks one cycle of
+at most n steps with ``braid._cycle`` and swaps two images, so inserts at
+neighbouring positions cost O(n) each, not a walk of the whole word.  Any
+other move drops the permutation; the next ``ins`` rebuilds it with one walk.  The self-linking
 at either end is the exponent sum minus the strands when the closure there
 is a knot.
 
@@ -71,6 +71,8 @@ from . import HatlabError
 from .braid import (
     BraidError,
     BraidWord,
+    _carry,
+    _cycle,
     _letter_name,
     _word,
     braid_text,
@@ -179,18 +181,14 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
                 perm, q, at = list(underlying_permutation(w)), 0, list(range(w.strands))
             # The cursor: at[k] is the strand at position k after w's first q
             # letters.  A letter's swap undoes itself, so the cursor steps
-            # back by swapping the letters it passes in reverse order.
+            # back by carrying the strands through the passed letters reversed.
             _, p, i = move
-            for g in map(abs, w.letters[q:p] if q < p else reversed(w.letters[p:q])):
-                at[g - 1], at[g] = at[g], at[g - 1]
+            _carry(at, w.letters[q:p] if q < p else reversed(w.letters[p:q]))
             q = p
             # The new crossing swaps the paths of strands x and y from here
             # on: it splits their common cycle or merges their two cycles.
             x, y = at[i - 1], at[i]
-            k = perm[x]
-            while k != x and k != y:
-                k = perm[k]
-            trace.append(trace[-1] + (1 if k == y else -1))
+            trace.append(trace[-1] + (1 if y in _cycle(perm, x) else -1))
             perm[x], perm[y] = perm[y], perm[x]
         w = after
     end = script.declared_end
@@ -487,12 +485,8 @@ def _aligning_conjugator(w: BraidWord) -> BraidWord:
     this raises BraidError.
     """
     n = w.strands
-    pw = underlying_permutation(w)
-    sigma = [0] * n
-    a = 0
-    for k in range(n):
-        if k and not a:
-            raise BraidError("torus scripts need a knot closure")
-        sigma[-k % n] = a
-        a = pw[a]
-    return simple_word(tuple(sigma))
+    cycle = _cycle(underlying_permutation(w), 0)
+    if len(cycle) < n:
+        raise BraidError("torus scripts need a knot closure")
+    # sigma[-k % n] = cycle[k]
+    return simple_word(tuple(cycle[:1] + cycle[:0:-1]))
