@@ -36,6 +36,9 @@ class BoundsError(HatlabError):
     pass
 
 
+T2_KMAX = 1_000_000  # the most rows t2_table builds, ~220 bytes each
+
+
 def hat_genus_at_degree(slk: int, d: int) -> int:
     """The genus of a degree-d projective hat for a knot with given slk."""
     smooth = plane_curve_genus(d)
@@ -131,7 +134,7 @@ def load_witnesses() -> dict[str, list]:
 
 def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
     """Rows ``(k, lower_bound, witness_genus, value)`` for the maximal-slk
-    T(2,2k+1), k = 1..k_max.
+    T(2,2k+1), k = 1..k_max, for 1 <= k_max <= ``T2_KMAX``.
 
     T(2,2k+1) is quasipositive of slice genus k, so the triangular bound
     applies: writing k = d(d-1)/2 + l with 1 <= l <= d, it is d - l.
@@ -142,6 +145,8 @@ def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
     """
     if k_max < 1:
         raise BoundsError("need k_max >= 1")
+    if k_max > T2_KMAX:
+        raise BoundsError(f"need k_max <= {T2_KMAX}, got {k_max}")
     sections = load_witnesses()
     degree = {row["k"]: row["degree"] for row in sections["t2_witnesses"]}
     upgrade = {row["k"]: row["bound"] for row in sections["t2_lower_bound_upgrades"]}

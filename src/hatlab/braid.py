@@ -32,6 +32,8 @@ text, ``parse_generator`` reads one generator operand of a script (a
 positive letter name with no power), and ``braid_text`` prints words, all
 from the one alphabet ``_LETTERS``.  ``parse_braid`` reads no word longer
 than ``MAX_LETTERS`` letters and checks each power before expanding it.
+No word has more than ``MAX_STRANDS`` strands: ``BraidWord(...)``,
+``parse_braid`` and ``markov_stabilize`` refuse a larger count.
 
 Every ``BraidWord`` has letters in range: ``BraidWord(...)`` checks each
 letter on construction.  ``_word`` builds a word without that check; only
@@ -65,6 +67,12 @@ _SIGNED = {c: i for i, c in enumerate(_LETTERS, 1)}  # the signed generator of e
 _SIGNED |= {c.upper(): -i for c, i in _SIGNED.items()}  # capitals are inverses
 
 MAX_LETTERS = 1_000_000  # the longest word parse_braid reads
+MAX_STRANDS = 1_000  # the most strands a word has; normal_form builds two n x n tables
+
+
+def _check_max_strands(strands: int) -> None:
+    if strands > MAX_STRANDS:
+        raise BraidError(f"strand count must be <= {MAX_STRANDS}, got {strands}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise BraidError(f"strand count must be >= 1, got {self.strands}")
+        _check_max_strands(self.strands)
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for g in self.letters:
@@ -139,10 +148,11 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     inverses, or the numeric forms ``s<k>`` / ``S<k>`` for any index.
     Negative powers invert the letter, so ``x^-3`` equals ``X^3``.
     A lone ``1`` is the empty word, as :func:`braid_text` prints it.
-    A word longer than ``MAX_LETTERS`` letters is refused; a power is
-    checked before it is expanded.  Each error names its column in the
-    stripped text.
+    A word longer than ``MAX_LETTERS`` letters, or on more than
+    ``MAX_STRANDS`` strands, is refused; a power is checked before it is
+    expanded.  Each error names its column in the stripped text.
     """
+    _check_max_strands(strands)
     text = text.strip()
     if text in ("", "1"):
         return BraidWord(strands)
@@ -300,6 +310,7 @@ def markov_stabilize(w: BraidWord, sign: int) -> BraidWord:
     if sign not in (1, -1):
         raise BraidError("stabilization sign must be +1 or -1")
     n = w.strands
+    _check_max_strands(n + 1)
     return _word(n + 1, w.letters + (sign * n,))
 
 

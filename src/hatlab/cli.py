@@ -4,7 +4,9 @@ cover bookkeeping, and reproduction reports.
 Human-readable TSV by default; ``--json`` where structured output makes
 sense.  Report commands exit nonzero iff any line fails.  An input error
 (any ``HatlabError``, or an ``OSError`` reading a file) prints one
-``hatlab: error:`` line to stderr and exits 2.
+``hatlab: error:`` line to stderr and exits 2.  An integer option takes
+exactly ASCII ``-?[0-9]+``, the grammar of a script integer; anything else
+(``３``, ``1_0``, ``+3``, `` 3 ``) is a usage error, and argparse exits 2.
 
 Each command runs in a fresh interpreter, so importing is part of its
 cost.  The rule: this module imports only ``argparse``, ``sys`` and
@@ -22,6 +24,14 @@ import argparse
 import sys
 
 from . import HatlabError
+
+
+def _integer(text: str) -> int:
+    """An integer option, read as a script integer is: ASCII ``-?[0-9]+``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)  # argparse reports the ValueError of more digits than int() reads
 
 
 def _cmd_slk(args) -> int:
@@ -247,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slk", help="self-linking number of a braid closure")
     p.add_argument("braid")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.set_defaults(fn=_cmd_slk)
 
     p = sub.add_parser("eq", help="decide equality of two braid words")
     p.add_argument("braid1")
     p.add_argument("braid2")
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.set_defaults(fn=_cmd_eq)
 
     p = sub.add_parser("run-script", help="replay a rewriting script file")
@@ -264,27 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify_corpus)
 
     p = sub.add_parser("bounds", help="hat genus/degree bounds from slk")
-    p.add_argument("--slk", type=int, required=True)
-    p.add_argument("--slice-genus", type=int, default=None)
+    p.add_argument("--slk", type=_integer, required=True)
+    p.add_argument("--slice-genus", type=_integer, default=None)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("t2-table", help="hat genus table for T(2,2k+1)")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_t2_table)
 
     p = sub.add_parser("search", help="curve-class search in a blow-up")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--blowups", type=int, required=True)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--amin", type=int, required=True)
-    p.add_argument("--amax", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
+    p.add_argument("--blowups", type=_integer, required=True)
+    p.add_argument("--genus", type=_integer, default=0)
+    p.add_argument("--amin", type=_integer, required=True)
+    p.add_argument("--amax", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("covers", help="branched-cover bookkeeping for a knot")
     p.add_argument("--knot", required=True)
-    p.add_argument("--r", type=int, choices=(2, 3, 4), required=True)
+    p.add_argument("--r", type=_integer, choices=(2, 3, 4), required=True)
     p.set_defaults(fn=_cmd_covers)
 
     p = sub.add_parser("reproduce", help="re-run a recorded table or claim")

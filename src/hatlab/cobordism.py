@@ -347,18 +347,30 @@ def _row(move) -> tuple:
     raise ScriptError(f"unknown move {move!r}")
 
 
-def _move_text(move) -> str:
-    """A move as its script line; anything else, as its repr."""
-    try:
-        kinds = _row(move)[0]
-    except ScriptError:
-        return repr(move)
+def _line(move) -> str:
+    """A move as its script line; ScriptError for anything ``_row`` rejects."""
+    kinds = _row(move)[0]
     return " ".join([move[0], *(write(v) for (_, write, _), v in zip(kinds, move[1:]))])
 
 
+def _move_text(move) -> str:
+    """A move as its script line; anything else, as its repr."""
+    try:
+        return _line(move)
+    except ScriptError:
+        return repr(move)
+
+
 def serialize_script(script: MoveScript) -> str:
+    """The script's file text; a move that is not a well-formed move tuple
+    raises ScriptError naming its index.  Operand values are not checked:
+    replay reports one out of range."""
     lines = [f"strands: {script.start.strands}", f"start: {braid_text(script.start)}"]
-    lines += map(_move_text, script.moves)
+    for k, move in enumerate(script.moves):
+        try:
+            lines.append(_line(move))
+        except ScriptError as e:
+            raise ScriptError(f"move {k}: {e}") from e
     if script.declared_end is not None:
         lines.append(f"end: {braid_text(script.declared_end)}")
     return "\n".join(lines) + "\n"

@@ -107,7 +107,8 @@ def load_db() -> list[KnotRecord]:
     Reads the file ``HATLAB_DB`` names if it is set, the embedded database
     otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
     offset, bad JSON with its line and column, an integer too long for
-    ``int()`` with the file's name, a missing, mistyped or unknown field
+    ``int()`` or JSON nested deeper than Python's recursion limit with the
+    file's name, a missing, mistyped or unknown field
     with the record's index, name and field, a failed invariant with
     the record's index and name, a repeated name with both records' indices.
     """
@@ -129,6 +130,8 @@ def load_db() -> list[KnotRecord]:
                             f"column {e.colno}: {e.msg}") from e
     except ValueError as e:  # an integer longer than int() reads
         raise DatabaseError(f"{source}: invalid number: {e}") from e
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise DatabaseError(f"{source}: JSON nested too deeply to read") from None
     if type(payload) is not dict or type(payload.get("knots")) is not list:
         raise DatabaseError(f"{source}: expected an object with a 'knots' array")
     records = [_record_from_json(obj, f"{source}: knots[{i}]")

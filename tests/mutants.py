@@ -70,6 +70,34 @@ MUTANTS = [
      "test_bounds.py"),
     # triangular_lb: the least degree is one too high whenever isqrt(8 g_s) is even
     ("bounds.py", "(isqrt(8 * g_s) + 5) // 2", "(isqrt(8 * g_s) + 6) // 2", "test_bounds.py"),
+    # _carry: a negative letter swaps the positions counted from the right
+    ("braid.py", "for i in map(abs, letters):", "for i in letters:", "test_braid.py"),
+    # _cycle: the walk stops one point short of closing the cycle
+    ("braid.py", "while perm[cycle[-1]] != start:", "while perm[perm[cycle[-1]]] != start:",
+     "test_braid.py"),
+    # underlying_permutation: the inverse permutation, end position to start
+    ("braid.py", "images[s] = q", "images[q] = s", "test_braid.py"),
+    # closure_components: each cycle counts twice
+    ("braid.py", "count += 1", "count += 2", "test_braid.py"),
+    # the ledger: a negative stabilization is not charged against the slk delta
+    ("cobordism.py", "expect = self.bands - 2 * self.negative_stabilizations",
+     "expect = self.bands", "test_cobordism.py"),
+    # _comb: an under-crossing of the parked strand emits the square, an over-crossing not
+    ("cobordism.py", "if pos < 0:", "if pos > 0:", "test_cobordism.py"),
+    # to_torus_script: the second letter of the square skipped in the twist is one too far right
+    ("cobordism.py", "n + f[k] - 2)", "n + f[k] - 1)", "test_cobordism.py"),
+    # _aligning_conjugator: a 2-strand link passes the knot check
+    ("cobordism.py", "if len(cycle) < n:", "if n > 2 and len(cycle) < n:", "test_cobordism.py"),
+    # check_record: a negative slice genus is accepted
+    ("db.py", "if rec.slice_genus < 0:", "if rec.slice_genus < -1:", "test_db_cli.py"),
+    # double_cover_books: a filling one genus too large gets a cap of rank -2
+    ("covers.py", "if b2_cap < 0:", "if b2_cap < -2:", "test_covers.py"),
+    # _descending_tuples: the prune lets through a remainder the n - 1 entries cannot hold
+    ("curves.py", "if rest > (n - 1) * w:", "if rest > n * w:", "test_curves.py"),
+    # _gromov: the sentinel 2 is dropped from the sorted entries
+    ("curves.py", "b4, p, 2), reverse=True)", "b4, p, 0), reverse=True)", "test_curves.py"),
+    # _gromov: the sentinel p is dropped from the sorted entries
+    ("curves.py", "b4, p, 2), reverse=True)", "b4, 0, 2), reverse=True)", "test_curves.py"),
 ]
 
 

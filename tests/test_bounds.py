@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hatlab.bounds import (
+    T2_KMAX,
     BoundsError,
     bounds_report,
     hat_genus_at_degree,
@@ -203,6 +204,10 @@ def test_t2_table_unknown_rows_flagged():
     assert rows[11] == (12, triangular_lb(12)[2], None, None)  # "?" in the CLI
     with pytest.raises(BoundsError, match=r"^need k_max >= 1$"):
         t2_table(0)
+    # Each row costs memory, so the table has at most T2_KMAX rows.
+    assert T2_KMAX == 1_000_000
+    with pytest.raises(BoundsError, match=r"^need k_max <= 1000000, got 1000001$"):
+        t2_table(T2_KMAX + 1)
 
 
 def test_bounds_report():

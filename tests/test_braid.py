@@ -151,6 +151,18 @@ def test_parse_bounds_the_word_by_max_letters():
         assert str(exc.value) == message
 
 
+def test_strand_count_is_bounded_by_max_strands():
+    # normal_form builds two n x n tables, so a word has at most MAX_STRANDS strands.
+    assert braid.MAX_STRANDS == 1_000
+    assert not equal(parse_braid("s999", 1000), BraidWord(1000, (1,)))
+    assert markov_stabilize(BraidWord(999), 1).strands == 1000
+    for make in (lambda: BraidWord(1001), lambda: parse_braid("x", 1001),
+                 lambda: parse_braid("", 1001), lambda: markov_stabilize(BraidWord(1000), -1)):
+        with pytest.raises(BraidError) as exc:
+            make()
+        assert str(exc.value) == "strand count must be <= 1000, got 1001"
+
+
 @pytest.mark.parametrize("text, column", [
     ("x^" + "9" * 5000, 0), ("xs" + "9" * 5000, 1), ("xS" + "0" * 5000 + "1", 1),
 ], ids=["power", "index", "leading-zeros"])
@@ -201,6 +213,17 @@ def test_permutation_examples():
     assert closure_components(BraidWord(3)) == 3
     assert underlying_permutation(BraidWord(3)) == (0, 1, 2)
     assert closure_components(parse_braid("xy^2x^2y^7", 3)) == 1
+
+
+def test_carry_and_cycle():
+    # at[q] is the strand at position q; sigma_i of either sign swaps positions i-1 and i.
+    at = [0, 1, 2]
+    assert braid._carry(at, (1, -2)) is at and at == [1, 2, 0]
+    assert braid._carry([0, 1, 2, 3], ()) == [0, 1, 2, 3]
+    # a cycle is listed in order from its start
+    assert braid._cycle((2, 0, 1), 0) == [0, 2, 1]
+    assert braid._cycle((2, 0, 1), 1) == [1, 0, 2]
+    assert braid._cycle((1, 0, 2), 2) == [2]
 
 
 def test_closure_components_against_orbit_oracle():

@@ -223,6 +223,25 @@ def test_script_file_round_trip():
         assert serialize_script(parse_script(corpus_text)) == corpus_text, path.name
 
 
+@pytest.mark.parametrize("moves, message", [
+    ((("cyc", "x"),), "move 0: 'cyc' operand 1 must be int, got 'x'"),
+    ((("ins", 0, 1), ("stab", True)), "move 1: 'stab' operand 1 must be int, got True"),
+    ((("cyc", 1), ("bogus", 1)), "move 1: unknown move ('bogus', 1)"),
+    ((("cyc", 1), ("destab",), "ins 0 x"), "move 2: unknown move 'ins 0 x'"),
+])
+def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
+    with pytest.raises(ScriptError) as exc:
+        serialize_script(MoveScript(parse_braid("xy", 3), moves))
+    assert str(exc.value) == message
+
+
+def test_serialize_leaves_operand_values_to_replay():
+    script = MoveScript(parse_braid("xy", 3), (("stab", 2),))
+    assert serialize_script(script) == "strands: 3\nstart: xy\nstab 2\n"
+    with pytest.raises(ScriptError, match=r"^step 0 \(stab 2\): stabilization sign"):
+        run_script(script)
+
+
 @st.composite
 def _move_scripts(draw):
     n = draw(st.integers(1, 6))
@@ -437,7 +456,8 @@ def test_to_torus_negative_generator():
 
 
 def test_to_torus_requires_knot():
-    for w in (BraidWord(3), BraidWord(3, (2,)), BraidWord(3, (1,)), BraidWord(4, (1, 3))):
+    for w in (BraidWord(3), BraidWord(3, (2,)), BraidWord(3, (1,)), BraidWord(4, (1, 3)),
+              BraidWord(2, (1, 1))):
         with pytest.raises(BraidError, match="torus scripts need a knot closure"):
             to_torus_script(w)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hatlab.bounds import load_witnesses
 from hatlab.covers import (
     CoverError,
+    DoubleCoverBooks,
     bidegree_genus,
     branched_cover_euler,
     cy_cover_test,
@@ -126,7 +127,7 @@ def test_books_rational_ball_case():
 
 
 def test_books_conserve_rank_and_signature():
-    for g in range(0, 11):
+    for g in range(0, 12):
         for sigma in range(-2 * g, 2 * g + 1, 2):
             if abs(-16 - sigma) > 22 - 2 * g:
                 with pytest.raises(CoverError):
@@ -135,6 +136,11 @@ def test_books_conserve_rank_and_signature():
             books = double_cover_books(g, sigma)
             assert books.b2_filling + books.b2_cap == 22
             assert sigma + books.sigma_cap == -16
+    assert double_cover_books(11, -16) == DoubleCoverBooks(22, 0, 0, "0")
+    # One genus more overfills the lattice; form_label's own error would be wrong here.
+    for sigma in (-16, -24):
+        with pytest.raises(CoverError, match=r"^filling rank exceeds the K3 lattice$"):
+            double_cover_books(12, sigma)
 
 
 def test_books_impossible_pair():

@@ -255,6 +255,10 @@ def test_reproduce_cover_books_output(capsys):
     (["run-script", "{power_one}"], "line 3: expected a single positive generator, got 'x^1'"),
     (["search", "--p", "3", "--blowups", "5000", "--amin", "0", "--amax", "6"],
      "5000 blow-ups nest the enumeration deeper than Python's recursion limit"),
+    # Counts that would cost memory without bound are input errors past their bound.
+    (["eq", "x", "y", "--strands", "1001"], "strand count must be <= 1000, got 1001"),
+    (["run-script", "{wide}"], "line 2: strand count must be <= 1000, got 1001"),
+    (["t2-table", "--kmax", "1000001"], "need k_max <= 1000000, got 1000001"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     malformed = tmp_path / "malformed.txt"
@@ -271,14 +275,48 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
     big_ins.write_text("strands: 3\nstart: xy\nins 0 s" + "9" * 5000 + "\n")
     power_one = tmp_path / "power_one.txt"
     power_one.write_text("strands: 3\nstart: xy\nins 0 x^1\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("strands: 1001\nstart: x\n")
     paths = {"missing": tmp_path / "missing.txt", "malformed": malformed, "latin1": latin1,
              "bad_step": bad_step, "bad_eq": bad_eq, "big_cyc": big_cyc, "big_ins": big_ins,
-             "power_one": power_one}
+             "power_one": power_one, "wide": wide}
     rc = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err.startswith("hatlab: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    # An integer option is ASCII -?[0-9]+, as in a script; argparse refuses the rest.
+    (["slk", "x", "--strands", "３"], None),
+    (["slk", "x", "--strands", "1_0"], None),
+    (["slk", "x", "--strands", "+3"], None),
+    (["slk", "x", "--strands", " 3 "], None),
+    (["slk", "x", "--strands", "3.0"], None),
+    (["slk", "x", "--strands", ""], None),
+    (["slk", "x", "--strands", "9" * 5000], None),
+    (["eq", "x", "y", "--strands", "٣"], None),
+    (["bounds", "--slk", "9", "--slice-genus", "0x6"], None),
+    (["t2-table", "--kmax", "1e3"], None),
+    (["search", "--p", "３", "--blowups", "1", "--amin", "0", "--amax", "２０"], None),
+    (["search", "--p", "4", "--blowups", "1", "--amin", "0", "--amax", "30", "--genus", "１"],
+     None),
+    (["covers", "--knot", "12n_242", "--r", "２"], None),
+    (["slk", "x", "--strands", "02"], "-1"),
+    (["bounds", "--slk", "-7"], "genus_lb\t3"),
+    (["search", "--p", "4", "--blowups", "1", "--amin", "0", "--amax", "30", "--genus", "1"],
+     "10\t8\t36\tFalse\tTrue\tFalse\tFalse"),
+])
+def test_integer_options_read_the_script_grammar(capsys, argv, line):
+    if line is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+    else:
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 def test_cover_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
@@ -391,6 +429,10 @@ _LATIN1 = _database({**_RECORD, "note": "café"}).encode("latin-1")
     (json.dumps([_RECORD]), "expected an object with a 'knots' array"),
     pytest.param(_database(_RECORD).replace('"strands": 3', '"strands": ' + "9" * 5000),
                  "invalid number: ", id="integer-too-long-to-read"),
+    pytest.param('{"knots": ' + "[" * 100_000, "JSON nested too deeply to read",
+                 id="nested-too-deep"),
+    (_database({**_RECORD, "strands": 1001}),
+     "knots[0] (m(8_20)): field 'braid': strand count must be <= 1000, got 1001"),
 ])
 def test_malformed_database_fails_loudly(capsys, tmp_path, monkeypatch, text, message):
     path = tmp_path / "knots.json"
