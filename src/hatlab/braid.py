@@ -252,8 +252,10 @@ def _carry(at: list[int], letters) -> list[int]:
 def _cycle(perm, start: int) -> list[int]:
     """The cycle of ``perm`` through ``start``, in order from ``start``."""
     cycle = [start]
-    while perm[cycle[-1]] != start:
-        cycle.append(perm[cycle[-1]])
+    p = perm[start]
+    while p != start:
+        cycle.append(p)
+        p = perm[p]
     return cycle
 
 

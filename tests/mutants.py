@@ -73,8 +73,7 @@ MUTANTS = [
     # _carry: a negative letter swaps the positions counted from the right
     ("braid.py", "for i in map(abs, letters):", "for i in letters:", "test_braid.py"),
     # _cycle: the walk stops one point short of closing the cycle
-    ("braid.py", "while perm[cycle[-1]] != start:", "while perm[perm[cycle[-1]]] != start:",
-     "test_braid.py"),
+    ("braid.py", "while p != start:", "while perm[p] != start:", "test_braid.py"),
     # underlying_permutation: the inverse permutation, end position to start
     ("braid.py", "images[s] = q", "images[q] = s", "test_braid.py"),
     # closure_components: each cycle counts twice
