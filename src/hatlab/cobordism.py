@@ -25,9 +25,9 @@ after the word's first q letters.  An ``ins`` at p moves the cursor from q
 to p with ``braid._carry``, reads the two strands there, walks one cycle of
 at most n steps with ``braid._cycle`` and swaps two images, so inserts at
 neighbouring positions cost O(n) each, not a walk of the whole word.  Any
-other move drops the permutation; the next ``ins`` rebuilds it with one walk.  The self-linking
-at either end is the exponent sum minus the strands when the closure there
-is a knot.
+other move drops the permutation; the next ``ins`` rebuilds it with one walk.
+The self-linking at either end is the exponent sum minus the strands when
+the closure there is a knot.
 
 Script files are line-oriented text::
 

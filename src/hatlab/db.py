@@ -108,9 +108,9 @@ def load_db() -> list[KnotRecord]:
     otherwise, as UTF-8.  Bytes that are not UTF-8 abort the load with their
     offset, bad JSON with its line and column, an integer too long for
     ``int()`` or JSON nested deeper than Python's recursion limit with the
-    file's name, a missing, mistyped or unknown field
-    with the record's index, name and field, a failed invariant with
-    the record's index and name, a repeated name with both records' indices.
+    file's name, a missing, mistyped or unknown field with the record's
+    index, name and field, a failed invariant with the record's index and
+    name, a repeated name with both records' indices.
     """
     path = os.environ.get("HATLAB_DB")
     if path is not None:
