@@ -38,8 +38,9 @@ Script files are line-oriented text::
     cyc 13
     eq xyxyxyxyxy^5
 
-The headers ``strands: <int>`` and ``start: <word>`` come first, then the
-moves, then an optional ``end: <word>``; each header appears at most once.
+The headers ``strands: <int>`` and ``start: <word>`` come first, once each,
+then the moves.  A script has no end header: it ends at the word its replay
+returns, and an ``eq`` move is the one way to state and certify a word.
 A move is its line, a token and its operands; in code it is the tuple
 ``(token, *operands)`` with each operand read, one shape per token::
 
@@ -101,7 +102,6 @@ class ScriptError(HatlabError):
 class MoveScript:
     start: BraidWord
     moves: tuple[tuple, ...] = ()
-    declared_end: Optional[BraidWord] = None
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,6 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
             trace.append(trace[-1] + (1 if y in _cycle(perm, x) else -1))
             perm[x], perm[y] = perm[y], perm[x]
         w = after
-    end = script.declared_end
-    if end is not None and end.strands != w.strands:
-        raise ScriptError(f"declared end lives in B_{end.strands}, script ends in B_{w.strands}")
-    if end is not None and not equal(w, end):
-        raise ScriptError(f"final word {braid_text(w)} not equal to declared end {braid_text(end)}")
     # Every move is well formed now, so each has a token to count.  The
     # self-linking of a knot closure is its exponent sum minus its strands.
     kinds = Counter(m[0] for m in script.moves)
@@ -274,7 +269,7 @@ _MOVES = {
     "destab": ((), -1, markov_destabilize),
 }
 # Headers in the order they must appear; each appears at most once.
-_HEADERS = {"strands": _INT, "start": _WORD, "end": _WORD}
+_HEADERS = {"strands": _INT, "start": _WORD}
 
 
 def parse_script(text: str) -> MoveScript:
@@ -302,7 +297,7 @@ def parse_script(text: str) -> MoveScript:
                     strands = headers[key]
                 continue
             if len(headers) != 2:
-                raise ScriptError("moves must come after 'start:' and before 'end:'")
+                raise ScriptError("moves must come after 'start:'")
             token, *operands = line.split()
             if token not in _MOVES:
                 raise ScriptError(f"unknown move {token!r}")
@@ -315,7 +310,7 @@ def parse_script(text: str) -> MoveScript:
             raise ScriptError(f"line {lineno}: {e}") from e
     if "start" not in headers:
         raise ScriptError(f"line {len(lines) + 1}: script needs 'strands:' and 'start:' headers")
-    return MoveScript(headers["start"], tuple(moves), headers.get("end"))
+    return MoveScript(headers["start"], tuple(moves))
 
 
 def read_script(data: bytes, source: str) -> MoveScript:
@@ -371,8 +366,6 @@ def serialize_script(script: MoveScript) -> str:
             lines.append(_line(move))
         except ScriptError as e:
             raise ScriptError(f"move {k}: {e}") from e
-    if script.declared_end is not None:
-        lines.append(f"end: {braid_text(script.declared_end)}")
     return "\n".join(lines) + "\n"
 
 
@@ -484,7 +477,7 @@ def to_torus_script(w: BraidWord) -> MoveScript:
 
     end = BraidWord(n, beta0.letters + twist * positive)
     moves.append(("eq", end))
-    return MoveScript(start=w, moves=tuple(moves), declared_end=end)
+    return MoveScript(start=w, moves=tuple(moves))
 
 
 def _aligning_conjugator(w: BraidWord) -> BraidWord:

@@ -152,19 +152,6 @@ def test_negative_stabilization_is_flagged():
     assert ledger.genus == 0  # no bands were attached
 
 
-def test_declared_end_checked():
-    w = parse_braid("xyx", 3)
-    good = MoveScript(start=w, declared_end=parse_braid("yxy", 3))
-    run_script(good)
-    bad = MoveScript(start=w, declared_end=parse_braid("xxy", 3))
-    with pytest.raises(ScriptError):
-        run_script(bad)
-    elsewhere = MoveScript(start=w, declared_end=parse_braid("x", 2))
-    with pytest.raises(ScriptError) as exc:
-        run_script(elsewhere)
-    assert str(exc.value) == "declared end lives in B_2, script ends in B_3"
-
-
 def test_ledger_is_checked_when_built():
     # One band between two knots of self-linking 1: the gain 0 is not 1 - 0.
     with pytest.raises(ScriptError) as exc:
@@ -208,7 +195,6 @@ def test_script_file_round_trip():
         "stab -\n"
         "destab\n"
         "destab\n"
-        "end: xy^2xy^2xy^6x\n"
     )
     # not a runnable script (the cc has no negative letter); parse/serialize only
     script = parse_script(text)
@@ -270,8 +256,7 @@ def _move_scripts(draw):
         else:
             moves.append(("destab",))
             n -= 1
-    end = word(n) if draw(st.booleans()) else None
-    return MoveScript(start=start, moves=tuple(moves), declared_end=end)
+    return MoveScript(start=start, moves=tuple(moves))
 
 
 @given(_move_scripts())
@@ -336,6 +321,9 @@ def test_malformed_generators_keep_their_errors(text, message):
 
 @pytest.mark.parametrize("text, message", [
     ("strands: 3\nfoo: 1\n", "line 2: unknown header 'foo:'"),
+    # A script ends where its moves end; there is no end header.
+    ("strands: 3\nstart: xy\nend: xy\n", "line 3: unknown header 'end:'"),
+    ("strands: 3\ncyc 1\n", "line 2: moves must come after 'start:'"),
     ("start: xy\nstrands: 3\n", "line 1: expected header 'strands:', got 'start:'"),
 ])
 def test_header_errors_keep_their_messages(text, message):
@@ -345,7 +333,7 @@ def test_header_errors_keep_their_messages(text, message):
 
 
 def test_script_comments_and_blanks_ignored():
-    text = "strands: 2\n\n# a comment\nstart: xXx\ncc 1 x  # switch\nend: x^3\n"
+    text = "strands: 2\n\n# a comment\nstart: xXx\ncc 1 x  # switch\n"
     script = parse_script(text)
     end, ledger = run_script(script)
     assert end == parse_braid("x^3", 2)
@@ -553,7 +541,7 @@ def test_positive_square_grows_into_the_literal_full_twist(n):
 def test_to_torus_script_pinned(text, n, m, bands, moves):
     script = to_torus_script(parse_braid(text, n))
     end, ledger = run_script(script)
-    assert end == script.declared_end
+    assert end == script.moves[-1][1]
     assert end.letters == tuple(range(1, n)) + full_twist(n).letters * m
     assert (ledger.bands, ledger.genus, len(script.moves)) == (bands, bands // 2, moves)
 
@@ -578,7 +566,7 @@ def test_to_torus_script_m_on_minimal_knot_braids(n):
     texts, ms = _MINIMAL_KNOTS[n]
     scripts = [to_torus_script(parse_braid(t, n)) for t in texts.split()]
     ends = [run_script(s)[0] for s in scripts]  # each script replays, so it is certified
-    assert ends == [s.declared_end for s in scripts]
+    assert ends == [s.moves[-1][1] for s in scripts]
     assert [(len(e.letters) - (n - 1)) // (n * (n - 1)) for e in ends] == list(ms)
 
 
