@@ -204,10 +204,11 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 # The move table and the script file format
 # ---------------------------------------------------------------------------
 # Each operand kind has one reader (token, current strand count -> value), one
-# writer (value -> token) and one Python type; each move has one action (word,
-# *operands -> word).  ``equal``, ``parse_braid`` and ``braid_text`` are called
-# through the module names at call time, so a wrapper bound to those names sees
-# every call.
+# writer (value -> token), one Python type and one range check (value, current
+# strand count -> why its token would not read back as it, or ""); each move
+# has one action (word, *operands -> word).  ``equal``, ``parse_braid`` and
+# ``braid_text`` are called through the module names at call time, so a
+# wrapper bound to those names sees every call.
 
 def _read_int(token: str, strands: int) -> int:
     if not re.fullmatch(r"-?[0-9]+", token):
@@ -224,11 +225,16 @@ def _read_sign(token: str, strands: int) -> int:
     return 1 if token == "+" else -1
 
 
-_INT = (_read_int, str, int)
+_INT = (_read_int, str, int, lambda i, strands: "")
 # The writers print an operand out of range as it is, so that an error names it.
-_GENERATOR = (parse_generator, lambda i: _letter_name(i, True), int)
-_WORD = (lambda token, strands: parse_braid(token, strands), lambda w: braid_text(w), BraidWord)
-_SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)), int)
+_GENERATOR = (parse_generator, lambda i: _letter_name(i, True), int,
+              lambda i, strands: "" if 0 < i < strands
+              else f"must be a generator in 1..{strands - 1}, got {i}")
+_WORD = (lambda token, strands: parse_braid(token, strands), lambda w: braid_text(w), BraidWord,
+         lambda w, strands: "" if w.strands == strands
+         else f"must be a word in B_{strands}, got one in B_{w.strands}")
+_SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)), int,
+         lambda sign, strands: "" if sign in (1, -1) else f"must be +1 or -1, got {sign}")
 
 
 def _insert(w: BraidWord, position: int, index: int) -> BraidWord:
@@ -342,10 +348,16 @@ def _row(move) -> tuple:
     raise ScriptError(f"unknown move {move!r}")
 
 
-def _line(move) -> str:
-    """A move as its script line; ScriptError for anything ``_row`` rejects."""
+def _line(move, strands: Optional[int] = None) -> str:
+    """A move as its script line; ScriptError for anything ``_row`` rejects and,
+    given the strand count at the line, for an operand its range check refuses."""
     kinds = _row(move)[0]
-    return " ".join([move[0], *(write(v) for (_, write, _), v in zip(kinds, move[1:]))])
+    words = [move[0]]
+    for i, ((_, write, _, check), v) in enumerate(zip(kinds, move[1:]), 1):
+        if strands is not None and check(v, strands):
+            raise ScriptError(f"'{move[0]}' operand {i} {check(v, strands)}")
+        words.append(write(v))
+    return " ".join(words)
 
 
 def _move_text(move) -> str:
@@ -357,15 +369,22 @@ def _move_text(move) -> str:
 
 
 def serialize_script(script: MoveScript) -> str:
-    """The script's file text; a move that is not a well-formed move tuple
-    raises ScriptError naming its index.  Operand values are not checked:
-    replay reports one out of range."""
-    lines = [f"strands: {script.start.strands}", f"start: {braid_text(script.start)}"]
+    """The script's file text, which ``parse_script`` reads back as this script.
+
+    It tracks the strand count as ``parse_script`` does.  A move that is not a
+    well-formed move tuple, or an operand that would read back as another value
+    or not at all (a word in another strand count than its line's, a generator
+    outside 1..n-1, a sign other than +1 or -1), raises ScriptError naming the
+    move's index.  Each check takes constant time; nothing is re-parsed.
+    """
+    strands = script.start.strands
+    lines = [f"strands: {strands}", f"start: {braid_text(script.start)}"]
     for k, move in enumerate(script.moves):
         try:
-            lines.append(_line(move))
+            lines.append(_line(move, strands))
         except ScriptError as e:
             raise ScriptError(f"move {k}: {e}") from e
+        strands += _MOVES[move[0]][1]
     return "\n".join(lines) + "\n"
 
 

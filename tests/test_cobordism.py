@@ -221,11 +221,43 @@ def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
     assert str(exc.value) == message
 
 
-def test_serialize_leaves_operand_values_to_replay():
-    script = MoveScript(parse_braid("xy", 3), (("stab", 2),))
-    assert serialize_script(script) == "strands: 3\nstart: xy\nstab 2\n"
-    with pytest.raises(ScriptError, match=r"^step 0 \(stab 2\): stabilization sign"):
+# Moves from xyx in B_3 whose text would read back as another script or not at
+# all; serialize refuses each, and replay keeps its own error for the tuples.
+@pytest.mark.parametrize("moves, message, replay", [
+    # conj x would read in B_3 and replay to xyxyX
+    ((("eq", parse_braid("yxy", 3)), ("conj", BraidWord(2, (1,)))),
+     "move 1: 'conj' operand 1 must be a word in B_3, got one in B_2",
+     "step 1 (conj x): conjugation requires equal strand counts"),
+    ((("eq", BraidWord(4, (1, 2, 1))),),
+     "move 0: 'eq' operand 1 must be a word in B_3, got one in B_4",
+     "step 0 (eq xyx): rewrite target has wrong strand count"),
+    ((("ins", 0, 5),), "move 0: 'ins' operand 2 must be a generator in 1..2, got 5",
+     "step 0 (ins 0 s5): insert index 5 out of range"),
+    ((("cc", 0, 0),), "move 0: 'cc' operand 2 must be a generator in 1..2, got 0",
+     "step 0 (cc 0 s0): crossing change expects sigma_0^-1 at position 0, found letter 1"),
+    ((("stab", 2),), "move 0: 'stab' operand 1 must be +1 or -1, got 2",
+     "step 0 (stab 2): stabilization sign must be +1 or -1"),
+    # the strand count moves with stab and destab, as parse_script's does
+    ((("stab", 1), ("ins", 0, 3), ("destab",), ("ins", 0, 3)),
+     "move 3: 'ins' operand 2 must be a generator in 1..2, got 3",
+     "step 2 (destab): destabilization needs exactly one sigma_3 letter, found 2"),
+])
+def test_serialize_refuses_operands_that_would_not_read_back(moves, message, replay):
+    script = MoveScript(parse_braid("xyx", 3), moves)
+    with pytest.raises(ScriptError) as exc:
+        serialize_script(script)
+    assert str(exc.value) == message
+    with pytest.raises(ScriptError) as exc:
         run_script(script)
+    assert str(exc.value) == replay
+
+
+def test_serialize_follows_the_strand_count():
+    script = MoveScript(parse_braid("xyx", 3), (("stab", 1), ("ins", 0, 3), ("conj", BraidWord(4, (3,))),
+                                               ("stab", -1), ("eq", BraidWord(5, (4, 3, 1, 2, 1, 3)))))
+    text = serialize_script(script)
+    assert text == "strands: 3\nstart: xyx\nstab +\nins 0 z\nconj z\nstab -\neq wzxyxz\n"
+    assert parse_script(text) == script
 
 
 @st.composite
