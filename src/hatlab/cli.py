@@ -5,12 +5,13 @@ Human-readable TSV by default; ``--json`` where structured output makes
 sense.  Report commands exit nonzero iff any line fails.  An input error
 (any ``HatlabError``, or an ``OSError`` reading a file) prints one
 ``hatlab: error:`` line to stderr and exits 2.  An integer option takes
-exactly ASCII ``-?[0-9]+``, the grammar of a script integer; anything else
-(``３``, ``1_0``, ``+3``, `` 3 ``) is a usage error, and argparse exits 2.
+exactly ASCII ``-?[0-9]+``, the grammar of a script integer, read by
+``hatlab.read_int``; anything else (``３``, ``1_0``, ``+3``, `` 3 ``, or more
+digits than ``int()`` reads) is a usage error, and argparse exits 2.
 
 Each command runs in a fresh interpreter, so importing is part of its
-cost.  The rule: this module imports only ``argparse``, ``sys`` and
-``HatlabError`` at the top, and each ``_cmd_*`` handler and
+cost.  The rule: this module imports only ``argparse``, ``sys``,
+``HatlabError`` and ``read_int`` at the top, and each ``_cmd_*`` handler and
 ``_reproduce_*`` report imports the hatlab modules it runs (and ``json``
 where it prints JSON).  So ``eq`` and ``slk`` load ``braid`` alone,
 ``bounds`` and ``t2-table`` load ``bounds``, ``search`` loads ``curves``,
@@ -23,15 +24,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import HatlabError
+from . import HatlabError, read_int
 
 
 def _integer(text: str) -> int:
-    """An integer option, read as a script integer is: ASCII ``-?[0-9]+``."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)  # argparse reports the ValueError of more digits than int() reads
+    """An integer option, read as a script integer is, by ``hatlab.read_int``."""
+    try:
+        return read_int(text)
+    except HatlabError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _cmd_slk(args) -> int:

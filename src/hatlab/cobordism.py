@@ -63,12 +63,11 @@ other malformed line raises ScriptError with its line number.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from . import HatlabError
+from . import HatlabError, read_int
 from .braid import (
     BraidError,
     BraidWord,
@@ -210,22 +209,13 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
 # ``braid_text`` are called through the module names at call time, so a
 # wrapper bound to those names sees every call.
 
-def _read_int(token: str, strands: int) -> int:
-    if not re.fullmatch(r"-?[0-9]+", token):
-        raise ScriptError(f"expected an integer, got {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
-        raise ScriptError(f"integer of {len(token)} characters is too long to read") from None
-
-
 def _read_sign(token: str, strands: int) -> int:
     if token not in ("+", "-"):
         raise ScriptError(f"expected sign '+' or '-', got {token!r}")
     return 1 if token == "+" else -1
 
 
-_INT = (_read_int, str, int, lambda i, strands: "")
+_INT = (lambda token, strands: read_int(token), str, int, lambda i, strands: "")
 # The writers print an operand out of range as it is, so that an error names it.
 _GENERATOR = (parse_generator, lambda i: _letter_name(i, True), int,
               lambda i, strands: "" if 0 < i < strands
@@ -312,7 +302,7 @@ def parse_script(text: str) -> MoveScript:
                 raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
             moves.append((token, *(read(t, strands) for t, (read, *_) in zip(operands, kinds))))
             strands += strand_change
-        except (ScriptError, BraidError) as e:
+        except HatlabError as e:
             raise ScriptError(f"line {lineno}: {e}") from e
     if "start" not in headers:
         raise ScriptError(f"line {len(lines) + 1}: script needs 'strands:' and 'start:' headers")

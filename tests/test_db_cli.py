@@ -12,7 +12,7 @@ from hatlab import HatlabError
 from hatlab import bounds as bounds_mod
 from hatlab.braid import BraidError
 from hatlab.cli import main
-from hatlab.cobordism import ScriptError, serialize_script
+from hatlab.cobordism import ScriptError, parse_script, serialize_script
 from hatlab.corpus import load_script
 from hatlab.covers import CoverError
 from hatlab.curves import SearchError
@@ -317,6 +317,43 @@ def test_integer_options_read_the_script_grammar(capsys, argv, line):
     else:
         assert main(argv) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+
+def test_an_over_long_integer_option_is_a_short_usage_error(capsys):
+    # More digits than int() reads: one usage line and one error line, without
+    # the value or the reader's name.
+    with pytest.raises(SystemExit) as exc:
+        main(["slk", "x", "--strands", "9" * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.encode()) < 300
+    assert err.splitlines()[-1] == (
+        "hatlab slk: error: argument --strands: integer of 5000 characters is too long to read")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("007", 7), ("-12", -12),
+    ("+3", "expected an integer, got '+3'"),
+    ("-", "expected an integer, got '-'"),
+    ("３", "expected an integer, got '３'"),
+    ("1_0", "expected an integer, got '1_0'"),
+    (" 3", "expected an integer, got ' 3'"),
+    ("", "expected an integer, got ''"),
+    ("9" * 5000, "integer of 5000 characters is too long to read"),
+    ("-" + "9" * 5000, "integer of 5001 characters is too long to read"),
+])
+def test_one_integer_grammar(text, value):
+    # Script lines and integer options read integers with the same function.
+    if isinstance(value, int):
+        assert hatlab.read_int(text) == value
+        return
+    with pytest.raises(HatlabError) as exc:
+        hatlab.read_int(text)
+    assert str(exc.value) == value
+    if text.split() == [text]:  # a script token has no spaces
+        with pytest.raises(ScriptError) as exc:
+            parse_script(f"strands: 3\nstart: xy\ncyc {text}\n")
+        assert str(exc.value) == f"line 3: {value}"
 
 
 def test_cover_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
