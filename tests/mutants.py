@@ -85,12 +85,34 @@ MUTANTS = [
     ("cobordism.py", "if pos < 0:", "if pos > 0:", "test_cobordism.py"),
     # to_torus_script: the second letter of the square skipped in the twist is one too far right
     ("cobordism.py", "n + f[k] - 2)", "n + f[k] - 1)", "test_cobordism.py"),
+    # to_torus_script: the first letter of the square skipped in the twist is one too far right
+    ("cobordism.py", "(f[k] - 1, ", "(f[k], ", "test_cobordism.py"),
+    # to_torus_script: each letter of the twist is inserted one position too far right
+    ("cobordism.py", '("ins", mid + t, g)', '("ins", mid + t + 1, g)', "test_cobordism.py"),
+    # _comb: the strand-free residue is combed before its free reduction
+    ("cobordism.py", "_comb(n - 1, list(reduced.letters))", "_comb(n - 1, list(d))",
+     "test_cobordism.py"),
+    # _comb: the strand-free residue is not combed at all
+    ("cobordism.py", "    out.extend(_comb(n - 1, list(reduced.letters)))\n", "",
+     "test_cobordism.py"),
     # _aligning_conjugator: a 2-strand link passes the knot check
     ("cobordism.py", "if len(cycle) < n:", "if n > 2 and len(cycle) < n:", "test_cobordism.py"),
     # check_record: a negative slice genus is accepted
     ("db.py", "if rec.slice_genus < 0:", "if rec.slice_genus < -1:", "test_db_cli.py"),
     # double_cover_books: a filling one genus too large gets a cap of rank -2
     ("covers.py", "if b2_cap < 0:", "if b2_cap < -2:", "test_covers.py"),
+    # form_label: a positive signature divisible by 8 gets a label such as -1E8+8H
+    ("covers.py", "if signature > 0 or signature % 8", "if signature % 8", "test_covers.py"),
+    # form_label: the form of rank 0 is not labelled 0
+    ("covers.py", "if rank == 0:", "if False:", "test_covers.py"),
+    # form_label: a single summand is written with its count, as 1E8 or 1H
+    ("covers.py", "{'' if n == 1 else n}", "{n}", "test_covers.py"),
+    # form_label: a rank and a signature of different parity are accepted
+    ("covers.py", " or (rank - signature) % 2:", ":", "test_covers.py"),
+    # search: the Ohta-Ono cap on the self-intersection is one too low
+    ("curves.py", "self_int_cap = p * p + 9", "self_int_cap = p * p + 8", "test_curves.py"),
+    # search: the cusp count charges the genus once, not twice
+    ("curves.py", "cusps = p * p - p + 2 * genus", "cusps = p * p - p + genus", "test_curves.py"),
     # _descending_tuples: the prune lets through a remainder the n - 1 entries cannot hold
     ("curves.py", "if rest > (n - 1) * w:", "if rest > n * w:", "test_curves.py"),
     # _gromov: the sentinel 2 is dropped from the sorted entries

@@ -454,6 +454,22 @@ def test_comb_pure_certifies_factorizations():
             assert f[k] == f[k + 1]
 
 
+# (word, strands, factors).  The strand-free residue is freely reduced before
+# it is combed, so s2^-1 s4^-1 s2 s4 in B_5 combs to 2 factors, not 4.
+@pytest.mark.parametrize("text, n, count", [
+    ("YWyw", 5, 2),
+    ("YWywxzXZ", 5, 2),
+    ("XXyyXX", 3, 3),
+    ("ZYXXyz", 4, 5),
+    ("x^2y^2z^2", 4, 3),
+])
+def test_comb_pure_factor_counts(text, n, count):
+    w = parse_braid(text, n)
+    factors = comb_pure(w)
+    assert len(factors) == count
+    assert equal(BraidWord(n, tuple(g for f in factors for g in f)), w)
+
+
 def test_comb_pure_rejects_non_pure():
     with pytest.raises(Exception):
         comb_pure(parse_braid("x", 2))

@@ -168,6 +168,13 @@ def test_form_labels():
         form_label(3, 0)
 
 
+@pytest.mark.parametrize("rank, signature", [(8, 8), (16, 8), (16, 16), (24, 16), (2, 0)])
+def test_form_label_of_a_positive_signature_is_undetermined(rank, signature):
+    # A K3 cap's form has signature <= 0; a positive one is not labelled, even
+    # when it is divisible by 8 (the last row is the labelled control).
+    assert (form_label(rank, signature) == "undetermined") == (signature > 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=-10, max_value=10),
