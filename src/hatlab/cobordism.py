@@ -215,16 +215,14 @@ def _read_sign(token: str, strands: int) -> int:
     return 1 if token == "+" else -1
 
 
-_INT = (lambda token, strands: read_int(token), str, int, lambda i, strands: "")
+_INT = (lambda token, strands: read_int(token), str, int, lambda i, n: "")
 # The writers print an operand out of range as it is, so that an error names it.
 _GENERATOR = (parse_generator, lambda i: _letter_name(i, True), int,
-              lambda i, strands: "" if 0 < i < strands
-              else f"must be a generator in 1..{strands - 1}, got {i}")
+              lambda i, n: "" if 0 < i < n else f"must be a generator in 1..{n - 1}, got {i}")
 _WORD = (lambda token, strands: parse_braid(token, strands), lambda w: braid_text(w), BraidWord,
-         lambda w, strands: "" if w.strands == strands
-         else f"must be a word in B_{strands}, got one in B_{w.strands}")
+         lambda w, n: "" if w.strands == n else f"must be a word in B_{n}, not B_{w.strands}")
 _SIGN = (_read_sign, lambda sign: {1: "+", -1: "-"}.get(sign, str(sign)), int,
-         lambda sign, strands: "" if sign in (1, -1) else f"must be +1 or -1, got {sign}")
+         lambda sign, n: "" if sign in (1, -1) else f"must be +1 or -1, got {sign}")
 
 
 def _insert(w: BraidWord, position: int, index: int) -> BraidWord:

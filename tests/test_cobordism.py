@@ -226,10 +226,10 @@ def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
 @pytest.mark.parametrize("moves, message, replay", [
     # conj x would read in B_3 and replay to xyxyX
     ((("eq", parse_braid("yxy", 3)), ("conj", BraidWord(2, (1,)))),
-     "move 1: 'conj' operand 1 must be a word in B_3, got one in B_2",
+     "move 1: 'conj' operand 1 must be a word in B_3, not B_2",
      "step 1 (conj x): conjugation requires equal strand counts"),
     ((("eq", BraidWord(4, (1, 2, 1))),),
-     "move 0: 'eq' operand 1 must be a word in B_3, got one in B_4",
+     "move 0: 'eq' operand 1 must be a word in B_3, not B_4",
      "step 0 (eq xyx): rewrite target has wrong strand count"),
     ((("ins", 0, 5),), "move 0: 'ins' operand 2 must be a generator in 1..2, got 5",
      "step 0 (ins 0 s5): insert index 5 out of range"),
