@@ -33,6 +33,12 @@ MUTANTS = [
      "power = sum(1 for g in letters if g < 0)", "test_braid.py"),
     # _fix_pair: after a slide the scan moves on instead of stepping back
     ("braid.py", "i = max(i - 1, 1)", "i += 1", "test_braid.py"),
+    # _fix_pair: a letter that starts b slides even when a already finishes with it
+    ("braid.py", "if b[i - 1] > b[i] and pos[i - 1] < pos[i]:", "if b[i - 1] > b[i]:",
+     "test_braid.py"),
+    # _fix_pair: a letter that does not finish a slides even when it does not start b
+    ("braid.py", "if b[i - 1] > b[i] and pos[i - 1] < pos[i]:", "if pos[i - 1] < pos[i]:",
+     "test_braid.py"),
     # braid_text: a run of one letter prints with the power ^1
     ("braid.py", 'out.append(name if run_len == 1 else f"{name}^{run_len}")',
      'out.append(f"{name}^{run_len}")', "test_braid.py"),
