@@ -252,14 +252,6 @@ def test_serialize_refuses_operands_that_would_not_read_back(moves, message, rep
     assert str(exc.value) == replay
 
 
-def test_serialize_follows_the_strand_count():
-    script = MoveScript(parse_braid("xyx", 3), (("stab", 1), ("ins", 0, 3), ("conj", BraidWord(4, (3,))),
-                                               ("stab", -1), ("eq", BraidWord(5, (4, 3, 1, 2, 1, 3)))))
-    text = serialize_script(script)
-    assert text == "strands: 3\nstart: xyx\nstab +\nins 0 z\nconj z\nstab -\neq wzxyxz\n"
-    assert parse_script(text) == script
-
-
 @st.composite
 def _move_scripts(draw):
     n = draw(st.integers(1, 6))
