@@ -120,8 +120,9 @@ def _cmd_search(args) -> int:
     from . import curves as curves_mod
 
     rep = curves_mod.search(args.p, args.blowups, args.amin, args.amax, args.genus)
-    rows = [(s, s.gromov.line_with_cusp and s.gromov.line_two_points,
-             s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions]
+    # a generator: no row list is held, and no CurveClass is built per row
+    rows = ((s, s.gromov.line_with_cusp and s.gromov.line_two_points,
+             s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions)
     if args.json:
         import json
 
@@ -131,9 +132,9 @@ def _cmd_search(args) -> int:
             "nodes": rep.nodes,
             "solutions": [
                 {
-                    "a": s.cls.a,
-                    "b": list(s.cls.b),
-                    "self_int": s.cls.self_intersection,
+                    "a": s.a,
+                    "b": list(s.b),
+                    "self_int": s.self_intersection,
                     "passes": {"lines": lines, "conics": conics, "ohta_ono": s.ohta_ono},
                 }
                 for s, lines, conics in rows
@@ -143,8 +144,8 @@ def _cmd_search(args) -> int:
         return 0
     print("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives")
     for s, lines, conics in rows:
-        print(f"{s.cls.a}\t{','.join(map(str, s.cls.b)) or '-'}\t"
-              f"{s.cls.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
+        print(f"{s.a}\t{','.join(map(str, s.b)) or '-'}\t"
+              f"{s.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
     print(f"{len(rep.solutions)} solutions, {len(rep.surviving)} surviving")
     return 0
 
@@ -173,11 +174,11 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
     out = []
     rep = curves_mod.search(3, 1, 0, 20, genus=0)
     ok = rep.classes == [curves_mod.CurveClass(6, (4,))]
-    cls = rep.solutions[0] if rep.solutions else None
+    sol = rep.solutions[0] if rep.solutions else None
     out.append(("p=3 N=1 genus 0: unique (6; 4)", ok))
     out.append((
         "p=3 (6; 4) has self-intersection 20, caught by the cusp cap",
-        cls is not None and cls.cls.self_intersection == 20 and not cls.ohta_ono,
+        sol is not None and sol.self_intersection == 20 and not sol.ohta_ono,
     ))
     rep = curves_mod.search(4, 1, 0, 30, genus=1)
     ok = rep.classes == [curves_mod.CurveClass(10, (8,))]
@@ -192,7 +193,7 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
     out.append(("p=6 N=4 genus 0, a <= 9: unique constrained class (9; 3,3,3,3)", ok))
     out.append((
         "p=6 (9; 3,3,3,3) has self-intersection 45",
-        bool(passing) and passing[0].cls.self_intersection == 45,
+        bool(passing) and passing[0].self_intersection == 45,
     ))
     rep = curves_mod.search(7, 5, 9, 16, genus=0)
     passing = [s for s in rep.solutions if s.gromov.passes]

@@ -171,7 +171,8 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
         try:
             after = apply_move(w, move)
         except (ScriptError, BraidError) as e:
-            raise ScriptError(f"step {step} ({_move_text(move)}): {e}") from e
+            raise ScriptError(f"step {step} ({_move_text(move)}): {e}"
+                              f"{_strands_note(move, w.strands)}") from e
         if move[0] != "ins":
             perm = None
             trace.append(trace[-1])
@@ -354,6 +355,15 @@ def _move_text(move) -> str:
         return _line(move)
     except ScriptError:
         return repr(move)
+
+
+def _strands_note(move, strands: int) -> str:
+    """For a word operand in another strand count than ``strands``, a note
+    naming both counts; the operand's script line does not show its own."""
+    for i, v in enumerate(move[1:] if type(move) is tuple else (), 1):
+        if type(v) is BraidWord and v.strands != strands:
+            return f" (operand {i} is in B_{v.strands}, the word in B_{strands})"
+    return ""
 
 
 def serialize_script(script: MoveScript) -> str:

@@ -23,17 +23,21 @@ found in closed form with ``isqrt``, so every degree walked visits a node
 and ``NODE_CAP`` bounds the whole search.
 
 A search can emit a quarter of a million classes, so the objects are kept
-small: every class and annotation is a slotted dataclass, and the five
-positivity booleans are shared, one :class:`GromovDetail` per combination.
-The enumeration walks one shared prefix list and emits the solutions
-already in output order; nothing is sorted afterwards.  Its last level
-tests each leaf ``b_N(b_N - 1) == budget`` in a loop rather than one call
-per leaf.  Each emitted class is annotated in one pass: its coefficients
-are summed once (``sum b_i`` and ``sum b_i^2``) for adjunction and the cap,
-and the positivity flags sort only the five largest entries with the two
-sentinels.  A class passes when ``all_permuted`` holds, which implies the
-other four flags: the two (five) largest of b and the sentinels sum to at
-least any other two (five) of them.
+small: each solution is one slotted :class:`Annotated` record that holds
+``a`` and the walk's tuple ``b`` inline, and the five positivity booleans
+are shared, one :class:`GromovDetail` per combination.  The walk's tuples
+are already canonical, so a search builds no :class:`CurveClass` and
+re-sorts no tuple; ``Annotated.cls`` builds the class through its public
+constructor when a reader asks for it.  The enumeration walks one shared
+prefix list and emits the solutions already in output order; nothing is
+sorted afterwards.  Its last level tests each leaf ``b_N(b_N - 1) ==
+budget`` in a loop rather than one call per leaf.  Each emitted class is
+annotated in one pass: its coefficients are summed once (``sum b_i`` and
+``sum b_i^2``) for adjunction and the cap, and the positivity flags sort
+only the five largest entries with the two sentinels.  A class passes when
+``all_permuted`` holds, which implies the other four flags: the two (five)
+largest of b and the sentinels sum to at least any other two (five) of
+them.
 """
 
 from __future__ import annotations
@@ -115,9 +119,20 @@ def _shared_detail(*flags: bool) -> GromovDetail:
 
 @dataclass(frozen=True, slots=True)
 class Annotated:
-    cls: CurveClass
+    """One search solution: the class (a; b) held inline, with ``b`` as the
+    walk emits it (non-increasing), and its annotations."""
+
+    a: int
+    b: tuple[int, ...]
     gromov: GromovDetail
     ohta_ono: bool
+
+    # the class's own formula, read from the fields held here
+    self_intersection = CurveClass.self_intersection
+
+    @property
+    def cls(self) -> CurveClass:
+        return CurveClass(self.a, self.b)
 
     @property
     def survives(self) -> bool:
@@ -235,6 +250,5 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
                 raise SearchError(
                     f"internal error: class {CurveClass(a, b)} breaks adjunction"
                     f" at p={p}, genus={genus}")
-            found.append(Annotated(CurveClass(a, b), _gromov(p, a, b),
-                                   self_int <= self_int_cap))
+            found.append(Annotated(a, b, _gromov(p, a, b), self_int <= self_int_cap))
     return SearchReport(p, blowups, genus, a_min, a_max, tuple(found), visited[0])

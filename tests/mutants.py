@@ -119,6 +119,8 @@ MUTANTS = [
     ("curves.py", "self_int_cap = p * p + 9", "self_int_cap = p * p + 8", "test_curves.py"),
     # search: the cusp count charges the genus once, not twice
     ("curves.py", "cusps = p * p - p + 2 * genus", "cusps = p * p - p + genus", "test_curves.py"),
+    # _descending_tuples: a leaf's last entry comes first, so its tuple is not non-increasing
+    ("curves.py", "out.append((*prefix, first))", "out.append((first, *prefix))", "test_curves.py"),
     # _descending_tuples: the prune lets through a remainder the n - 1 entries cannot hold
     ("curves.py", "if rest > (n - 1) * w:", "if rest > n * w:", "test_curves.py"),
     # _gromov: the sentinel 2 is dropped from the sorted entries

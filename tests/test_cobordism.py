@@ -102,14 +102,16 @@ _STEP_ERRORS = [
     ([("cyc", 1), ("eq", parse_braid("x^3", 3))],
      "step 1 (eq x^3): uncertifiable rewrite: yxyx != x^3"),
     ([("eq", BraidWord(3))], "step 0 (eq 1): uncertifiable rewrite: xyxy != 1"),
-    ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target has wrong strand count"),
+    ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target has wrong strand count"
+     " (operand 1 is in B_2, the word in B_3)"),
     ([("ins", 5, 1)], "step 0 (ins 5 x): insert position 5 out of range"),
     ([("ins", 0, 3)], "step 0 (ins 0 z): insert index 3 out of range"),
     ([("ins", 0, 0)], "step 0 (ins 0 s0): insert index 0 out of range"),
     ([("cc", 0, 1)],
      "step 0 (cc 0 x): crossing change expects sigma_1^-1 at position 0, found letter 1"),
     ([("cc", 4, 2)], "step 0 (cc 4 y): crossing-change position 4 out of range"),
-    ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts"),
+    ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts"
+     " (operand 1 is in B_2, the word in B_3)"),
     ([("stab", 2)], "step 0 (stab 2): stabilization sign must be +1 or -1"),
     ([("destab",)], "step 0 (destab): destabilization needs exactly one sigma_2 letter, found 2"),
     ([("stab", -1), ("destab",)],
@@ -227,10 +229,12 @@ def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
     # conj x would read in B_3 and replay to xyxyX
     ((("eq", parse_braid("yxy", 3)), ("conj", BraidWord(2, (1,)))),
      "move 1: 'conj' operand 1 must be a word in B_3, not B_2",
-     "step 1 (conj x): conjugation requires equal strand counts"),
+     "step 1 (conj x): conjugation requires equal strand counts"
+     " (operand 1 is in B_2, the word in B_3)"),
     ((("eq", BraidWord(4, (1, 2, 1))),),
      "move 0: 'eq' operand 1 must be a word in B_3, not B_4",
-     "step 0 (eq xyx): rewrite target has wrong strand count"),
+     "step 0 (eq xyx): rewrite target has wrong strand count"
+     " (operand 1 is in B_4, the word in B_3)"),
     ((("ins", 0, 5),), "move 0: 'ins' operand 2 must be a generator in 1..2, got 5",
      "step 0 (ins 0 s5): insert index 5 out of range"),
     ((("cc", 0, 0),), "move 0: 'cc' operand 2 must be a generator in 1..2, got 0",

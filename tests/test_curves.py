@@ -1,6 +1,7 @@
 """Curve-class enumeration: adjunction, positivity filters, searches."""
 
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -111,9 +112,11 @@ def test_search_annotations_match_the_formulas():
     for r in [rep, *small]:
         for s in r.solutions:
             c = s.cls
+            # the walk's tuples are canonical: the class's sort changes nothing
+            assert (c.a, c.b) == (s.a, s.b)
             assert astuple(s.gromov) == gromov_flags(r.p, c)
             self_int = c.a * c.a - sum(x * x for x in c.b)
-            assert c.self_intersection == self_int
+            assert c.self_intersection == self_int == s.self_intersection
             assert s.ohta_ono == (self_int <= r.p * r.p + 9)
             assert s.survives == (s.gromov.passes and s.ohta_ono)
 
@@ -263,6 +266,21 @@ def test_search_objects_are_compact():
         assert not hasattr(obj, "__dict__")
     # one shared detail per combination of the five booleans
     assert len({id(s.gromov) for s in rep.solutions}) <= 32
+
+
+def test_search_holds_one_record_per_solution():
+    # A solution is one slotted record, its tuple b and its slot in the
+    # report's tuple: 168 bytes at N = 7 on CPython 3.11.  The bound refuses
+    # a second object per solution, such as a wrapped CurveClass (208).
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = search(8, 7, 0, 34)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep.solutions) == 35_919
+    assert held <= 176 * len(rep.solutions), held / len(rep.solutions)
 
 
 @settings(max_examples=120, deadline=None)
