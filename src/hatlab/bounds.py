@@ -6,10 +6,12 @@ projective hat has genus exactly
     g_hat(d) = (d^2 - 3d + 2)/2 - (slk + 1)/2,
 
 equivalently ``slk = (d^2 - 3d + 1) - 2 g_hat``, so genus and degree
-determine each other.  Everything here is exact integer arithmetic.  Every
-degree bound is the least d with (d-1)(d-2)/2 >= g for some g, solved in
-closed form by ``triangular_lb`` through an integer square root of the
-discriminant 8g + 1, never floats or a search.
+determine each other.  This is the one home of that formula: a hat in a
+blow-up loses m(m-1)/2 of it for each blown-up point of multiplicity m,
+which ``curves.search`` reads from here.  Everything here is exact integer
+arithmetic.  Every degree bound is the least d with (d-1)(d-2)/2 >= g for
+some g, solved in closed form by ``triangular_lb`` through an integer
+square root of the discriminant 8g + 1, never floats or a search.
 
 Upper bounds come from recorded witness constructions (external curves and
 crossing-change upgrades of them); those are declarative rows with
@@ -23,9 +25,7 @@ The bounds code never hard-codes a witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from math import gcd, isqrt
 from typing import Optional
 
@@ -127,6 +127,9 @@ def singular_genus_budget(d: int, sing_genera: list[int]) -> int:
 
 def load_witnesses() -> dict[str, list]:
     """The sections of ``data/witnesses.json`` as their JSON rows, read anew on each call."""
+    import json  # here, not at the top: a search imports this module and reads no JSON
+    from importlib import resources
+
     return json.loads(
         resources.files("hatlab").joinpath("data", "witnesses.json").read_text(encoding="utf-8")
     )

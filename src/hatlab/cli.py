@@ -14,7 +14,8 @@ cost.  The rule: this module imports only ``argparse``, ``sys``,
 ``HatlabError`` and ``read_int`` at the top, and each ``_cmd_*`` handler and
 ``_reproduce_*`` report imports the hatlab modules it runs (and ``json``
 where it prints JSON).  So ``eq`` and ``slk`` load ``braid`` alone,
-``bounds`` and ``t2-table`` load ``bounds``, ``search`` loads ``curves``,
+``bounds`` and ``t2-table`` load ``bounds``, ``search`` loads ``curves`` and
+the ``bounds`` it reads (no ``json`` unless it prints JSON),
 ``run-script`` loads ``braid`` and ``cobordism``, and ``verify-corpus``
 loads ``braid``, ``cobordism``, ``corpus`` and ``db``.
 """
@@ -146,7 +147,7 @@ def _cmd_search(args) -> int:
     for s, lines, conics in rows:
         print(f"{s.a}\t{','.join(map(str, s.b)) or '-'}\t"
               f"{s.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
-    print(f"{len(rep.solutions)} solutions, {len(rep.surviving)} surviving")
+    print(f"{len(rep.solutions)} solutions, {sum(s.survives for s in rep.solutions)} surviving")
     return 0
 
 
@@ -173,7 +174,7 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
 
     out = []
     rep = curves_mod.search(3, 1, 0, 20, genus=0)
-    ok = rep.classes == [curves_mod.CurveClass(6, (4,))]
+    ok = [(s.a, s.b) for s in rep.solutions] == [(6, (4,))]
     sol = rep.solutions[0] if rep.solutions else None
     out.append(("p=3 N=1 genus 0: unique (6; 4)", ok))
     out.append((
@@ -181,7 +182,7 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
         sol is not None and sol.self_intersection == 20 and not sol.ohta_ono,
     ))
     rep = curves_mod.search(4, 1, 0, 30, genus=1)
-    ok = rep.classes == [curves_mod.CurveClass(10, (8,))]
+    ok = [(s.a, s.b) for s in rep.solutions] == [(10, (8,))]
     out.append(("p=4 N=1 genus 1: unique (10; 8)", ok))
     out.append((
         "p=4 (10; 8) fails the line through the cusp",
@@ -189,7 +190,7 @@ def _reproduce_k3() -> list[tuple[str, bool]]:
     ))
     rep = curves_mod.search(6, 4, 0, 9, genus=0)
     passing = [s for s in rep.solutions if s.gromov.passes]
-    ok = [s.cls for s in passing] == [curves_mod.CurveClass(9, (3, 3, 3, 3))]
+    ok = [(s.a, s.b) for s in passing] == [(9, (3, 3, 3, 3))]
     out.append(("p=6 N=4 genus 0, a <= 9: unique constrained class (9; 3,3,3,3)", ok))
     out.append((
         "p=6 (9; 3,3,3,3) has self-intersection 45",

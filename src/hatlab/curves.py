@@ -2,25 +2,21 @@
 
 A candidate class is ``a*h - b_1*e_1 - ... - b_N*e_N`` with the exceptional
 coefficients kept as a sorted non-increasing tuple, so each multiset of
-coefficients appears exactly once.  For a rational cuspidal curve in this
-class whose two cusps are of types T(p,p+1) and T(2,3), the adjunction
-formula rearranges to
-
-    a^2 - sum(b_i^2) = p^2 - p + (3a - sum(b_i)),
-
-and a genus-g curve adds ``2g`` to the right-hand side.  Searches keep all
-adjunction solutions in range and annotate each with the positivity
-constraints coming from lines and conics through blown-up points (with the
-sentinel coefficients b_{N+1} = p and b_{N+2} = 2) and with the Ohta-Ono
-self-intersection cap ``a^2 - sum(b_i^2) <= p^2 + 9`` for curves with a
-simple cusp.  Each formula is written once: adjunction and the cap in
-:func:`search`, positivity in ``_gromov``.
+coefficients appears exactly once.  A curve in this class is a hat for
+T(p,p+1)#T(2,3), the link of its two cusps, of maximal slk p^2 - p + 1: its
+genus is the degree-a hat genus of :func:`hatlab.bounds.hat_genus_at_degree`
+less b_i(b_i - 1)/2 for each blown-up point.  Searches keep all classes of
+the requested genus in range and annotate each with the positivity
+constraints of lines and conics through blown-up points (with the sentinel
+coefficients b_{N+1} = p and b_{N+2} = 2, in ``_gromov``) and with the
+Ohta-Ono self-intersection cap ``a^2 - sum(b_i^2) <= p^2 + 9`` for curves
+with a simple cusp.
 
 All arithmetic is exact; enumeration bounds are explicit so completeness is
 auditable: positivity forces 0 <= b_i <= a for any solution with a > 0.
-The degree walk starts at the least a with a^2 - 3a >= p^2 - p + 2*genus,
-found in closed form with ``isqrt``, so every degree walked visits a node
-and ``NODE_CAP`` bounds the whole search.
+The walk starts at the least degree whose hat genus reaches the genus,
+from ``bounds.triangular_lb``, so every degree walked visits a node and
+``NODE_CAP`` bounds the whole search.
 
 A search can emit a quarter of a million classes, so the objects are kept
 small: each solution is one slotted :class:`Annotated` record that holds
@@ -48,6 +44,7 @@ from math import isqrt
 from operator import mul
 
 from . import HatlabError
+from .bounds import hat_genus_at_degree, triangular_lb
 
 
 class SearchError(HatlabError):
@@ -150,10 +147,6 @@ class SearchReport:
     nodes: int  # enumeration nodes visited
 
     @property
-    def classes(self) -> list[CurveClass]:
-        return [s.cls for s in self.solutions]
-
-    @property
     def surviving(self) -> list[CurveClass]:
         return [s.cls for s in self.solutions if s.survives]
 
@@ -210,13 +203,13 @@ NODE_CAP = 10_000_000
 def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> SearchReport:
     """Enumerate all adjunction solutions in range and annotate them.
 
-    The budget form of the constraint is ``sum b_i(b_i - 1) = a^2 - 3a -
-    (p^2 - p) - 2*genus``, so the inner enumeration walks non-increasing
-    tuples with exact pruning.  The walk emits the solutions in output
-    order, ascending in a and lexicographically descending in b; results
-    are independent of chunking.  Annotations share their
-    :class:`GromovDetail` objects.  The module constant ``NODE_CAP``
-    (10,000,000) bounds the work done: the search raises
+    A class of degree a has the requested genus when ``sum b_i(b_i - 1) =
+    2*(g_hat(a) - genus)``, with ``g_hat`` the hat genus from
+    :mod:`hatlab.bounds`; the inner enumeration walks non-increasing tuples
+    to that budget with exact pruning.  It emits the solutions ascending in
+    a and lexicographically descending in b; results are independent of
+    chunking.  Annotations share their :class:`GromovDetail` objects.
+    ``NODE_CAP`` (10,000,000) bounds the work done: the search raises
     :class:`SearchError` once the enumeration has visited more than
     ``NODE_CAP`` nodes over all degrees; ``nodes`` in the report is the
     count visited.  The walk nests one call per blow-up, so a search with
@@ -227,17 +220,18 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
         raise SearchError("need p >= 2")
     if blowups < 0 or genus < 0 or a_min < 0 or a_max < a_min:
         raise SearchError("bad search parameters")
-    # adjunction reads a^2 - sum(b_i^2) == cusps + 3a - sum(b_i)
-    cusps = p * p - p + 2 * genus
+    # T(p,p+1)#T(2,3), the link of the two cusps, has maximal slk p^2 - p + 1
+    slk = p * p - p + 1
     # a rational cuspidal curve with a simple cusp has self-intersection at
     # most 9 once its T(p,p+1) point is blown down (Ohta-Ono)
     self_int_cap = p * p + 9
-    # the budget is negative below the least a with 2a - 3 >= 1 + isqrt(8 + 4 cusps)
-    first = (isqrt(4 * cusps + 8) + 5) // 2
+    # the least degree whose hat genus reaches `genus`; below it no budget is left
+    first = triangular_lb((slk + 1) // 2 + genus)[1]
     visited = [0]
     found: list[Annotated] = []
     for a in range(max(a_min, first), a_max + 1):
-        budget = a * a - 3 * a - cusps
+        # twice the genus the blown-up points absorb, sum b_i(b_i - 1)/2
+        budget = 2 * (hat_genus_at_degree(slk, a) - genus)
         tuples: list[tuple[int, ...]] = []
         try:
             _descending_tuples(blowups, a, budget, [], tuples, visited, NODE_CAP)
@@ -245,10 +239,10 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
             raise SearchError(f"{blowups} blow-ups nest the enumeration deeper than "
                               "Python's recursion limit") from None
         for b in tuples:
-            self_int = a * a - sum(map(mul, b, b))
-            if self_int != cusps + 3 * a - sum(b):
+            squares = sum(map(mul, b, b))
+            if squares - sum(b) != budget:
                 raise SearchError(
                     f"internal error: class {CurveClass(a, b)} breaks adjunction"
                     f" at p={p}, genus={genus}")
-            found.append(Annotated(a, b, _gromov(p, a, b), self_int <= self_int_cap))
+            found.append(Annotated(a, b, _gromov(p, a, b), a * a - squares <= self_int_cap))
     return SearchReport(p, blowups, genus, a_min, a_max, tuple(found), visited[0])

@@ -117,8 +117,14 @@ MUTANTS = [
     ("covers.py", " or (rank - signature) % 2:", ":", "test_covers.py"),
     # search: the Ohta-Ono cap on the self-intersection is one too low
     ("curves.py", "self_int_cap = p * p + 9", "self_int_cap = p * p + 8", "test_curves.py"),
-    # search: the cusp count charges the genus once, not twice
-    ("curves.py", "cusps = p * p - p + 2 * genus", "cusps = p * p - p + genus", "test_curves.py"),
+    # search: the slk of T(p,p+1)#T(2,3) is off by two
+    ("curves.py", "slk = p * p - p + 1", "slk = p * p - p - 1", "test_curves.py"),
+    # search: the budget leaves out the requested genus
+    ("curves.py", "hat_genus_at_degree(slk, a) - genus)", "hat_genus_at_degree(slk, a))",
+     "test_curves.py"),
+    # search: the budget charges half the requested genus
+    ("curves.py", "hat_genus_at_degree(slk, a) - genus)",
+     "hat_genus_at_degree(slk, a) - genus // 2)", "test_curves.py"),
     # _descending_tuples: a leaf's last entry comes first, so its tuple is not non-increasing
     ("curves.py", "out.append((*prefix, first))", "out.append((first, *prefix))", "test_curves.py"),
     # _descending_tuples: the prune lets through a remainder the n - 1 entries cannot hold

@@ -133,12 +133,12 @@ def test_criterion_6_curve_searches():
     t0 = time.time()
 
     rep = search(3, 1, 0, 20, genus=0)
-    assert rep.classes == [CurveClass(6, (4,))]
+    assert [s.cls for s in rep.solutions] == [CurveClass(6, (4,))]
     sol = rep.solutions[0]
     assert sol.cls.self_intersection == 20 and not sol.ohta_ono  # 20 > 18
 
     rep = search(4, 1, 0, 30, genus=1)
-    assert rep.classes == [CurveClass(10, (8,))]
+    assert [s.cls for s in rep.solutions] == [CurveClass(10, (8,))]
     assert not rep.solutions[0].gromov.line_with_cusp  # 10 < 8 + 4
 
     rep = search(6, 4, 0, 9, genus=0)
@@ -151,7 +151,7 @@ def test_criterion_6_curve_searches():
 
     for p in (2, 3, 4):
         for blowups in (1, 2):
-            fast = search(p, blowups, 0, 12, genus=0).classes
+            fast = [s.cls for s in search(p, blowups, 0, 12, genus=0).solutions]
             assert fast == brute_force_solutions(p, blowups, 0, 12, genus=0)
 
     elapsed = time.time() - t0

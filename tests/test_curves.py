@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hatlab import curves
+from hatlab.bounds import BoundsError, hat_genus_at_degree, triangular_lb
 from hatlab.curves import CurveClass, SearchError, search
 from oracles import brute_force_solutions, class_genus, count_solutions, gromov_flags
 
@@ -27,10 +28,10 @@ def test_curve_class_rejects_negatives():
 
 
 def test_adjunction_examples():
-    assert CurveClass(9, (3, 3, 3, 3)) in search(6, 4, 9, 9).classes
-    assert search(2, 0, 0, 0).classes == []
-    assert CurveClass(10, (8,)) not in search(4, 1, 10, 10, genus=0).classes
-    assert search(4, 1, 10, 10, genus=1).classes == [CurveClass(10, (8,))]
+    assert CurveClass(9, (3, 3, 3, 3)) in [s.cls for s in search(6, 4, 9, 9).solutions]
+    assert [s.cls for s in search(2, 0, 0, 0).solutions] == []
+    assert CurveClass(10, (8,)) not in [s.cls for s in search(4, 1, 10, 10, genus=0).solutions]
+    assert [s.cls for s in search(4, 1, 10, 10, genus=1).solutions] == [CurveClass(10, (8,))]
 
 
 def test_class_genus_examples():
@@ -52,8 +53,39 @@ def test_adjunction_agrees_with_class_genus():
         g = rng.randint(0, 3)
         c = CurveClass(a, b)
         sing = milnor_genus(p, p + 1) + milnor_genus(2, 3)
-        found = search(p, len(b), a, a, genus=g).classes
+        found = [s.cls for s in search(p, len(b), a, a, genus=g).solutions]
         assert (c in found) == (class_genus(c, sing) == g), (p, c, g)
+
+
+def _hat_genus(slk, d):
+    try:
+        return hat_genus_at_degree(slk, d)
+    except BoundsError:  # below the least degree of a hat
+        return None
+
+
+def test_search_reads_its_genus_from_bounds():
+    # T(p,p+1)#T(2,3) has slk p^2 - p + 1; each blown-up point of
+    # multiplicity b lowers the degree-a hat genus by b(b-1)/2
+    emitted = 0
+    for p in range(2, 9):
+        slk = p * p - p + 1
+        for genus in range(4):
+            d0 = triangular_lb((slk + 1) // 2 + genus)[1]
+            for a_min, a_max in [(0, d0 + 5), (d0 - 1, d0 + 3), (d0 + 2, d0 + 6)]:
+                rep = search(p, 0, a_min, a_max, genus=genus)
+                assert [s.a for s in rep.solutions] == [
+                    d for d in range(a_min, a_max + 1) if _hat_genus(slk, d) == genus]
+                # one node per degree walked, from the least degree d0 on
+                assert rep.nodes == a_max - max(a_min, d0) + 1, (p, genus, a_min)
+                for blowups in range(4):
+                    for s in search(p, blowups, a_min, a_max, genus=genus).solutions:
+                        assert (hat_genus_at_degree(slk, s.a)
+                                - sum(b * (b - 1) // 2 for b in s.b)) == genus, (p, s)
+                        emitted += 1
+    assert emitted > 1000
+    rep = search(2, 0, 0, 12, genus=1)
+    assert (rep.nodes, [(s.a, s.b) for s in rep.solutions]) == (9, [(4, ())])
 
 
 def test_gromov_examples():
@@ -70,7 +102,7 @@ def test_gromov_examples():
 
 def test_search_k3_case():
     rep = search(3, 1, 0, 20, genus=0)
-    assert rep.classes == [CurveClass(6, (4,))]
+    assert [s.cls for s in rep.solutions] == [CurveClass(6, (4,))]
     sol = rep.solutions[0]
     assert sol.cls.self_intersection == 20
     assert not sol.ohta_ono  # 20 > 3^2 + 9
@@ -78,7 +110,7 @@ def test_search_k3_case():
 
 def test_search_k4_genus1_case():
     rep = search(4, 1, 0, 30, genus=1)
-    assert rep.classes == [CurveClass(10, (8,))]
+    assert [s.cls for s in rep.solutions] == [CurveClass(10, (8,))]
     assert not rep.solutions[0].gromov.line_with_cusp
 
 
@@ -162,7 +194,7 @@ def test_search_oracle_equivalence():
     for p in (2, 3, 4):
         for blowups in (0, 1, 2):
             for genus in (0, 1):
-                fast = search(p, blowups, 0, 12, genus=genus).classes
+                fast = [s.cls for s in search(p, blowups, 0, 12, genus=genus).solutions]
                 slow = brute_force_solutions(p, blowups, 0, 12, genus=genus)
                 assert fast == slow, (p, blowups, genus)
 

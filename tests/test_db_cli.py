@@ -392,7 +392,8 @@ _LOADED = "import sys; from hatlab.cli import main; rc = main(sys.argv[1:]); " \
 
 @pytest.mark.parametrize("argv, modules", [
     (["eq", "xyx", "yxy", "--strands", "3"], {"braid"}),
-    (["search", "--p", "3", "--blowups", "1", "--amin", "0", "--amax", "20"], {"curves"}),
+    (["search", "--p", "3", "--blowups", "1", "--amin", "0", "--amax", "20"],
+     {"curves", "bounds"}),
     (["bounds", "--slk", "9"], {"bounds"}),
     (["covers", "--knot", "12n_242", "--r", "2"], {"braid", "db", "covers", "bounds"}),
     (["verify-corpus"], {"braid", "cobordism", "corpus", "db"}),
@@ -405,6 +406,22 @@ def test_each_command_imports_only_its_modules(argv, modules):
     assert (proc.returncode, proc.stderr) == (0, "")
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert loaded == {"hatlab.cli"} | {f"hatlab.{m}" for m in modules}
+
+
+def test_a_tsv_search_loads_json_only_if_a_bare_interpreter_does():
+    # search reads bounds, whose only JSON reader imports json when it runs
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hatlab.__file__))}
+    probe = "print('json' in sys.modules)"
+    loaded = []
+    for code in (f"import sys; {probe}",
+                 f"import sys; from hatlab.cli import main; main(sys.argv[1:]); {probe}"):
+        proc = subprocess.run([sys.executable, "-c", code, "search", "--p", "3", "--blowups",
+                               "1", "--amin", "0", "--amax", "20"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        loaded.append(proc.stdout.splitlines()[-1] == "True")
+    bare, search = loaded
+    assert bare or not search
 
 
 @pytest.mark.parametrize("argv", [
