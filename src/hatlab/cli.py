@@ -125,23 +125,7 @@ def _cmd_search(args) -> int:
     rows = ((s, s.gromov.line_with_cusp and s.gromov.line_two_points,
              s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions)
     if args.json:
-        import json
-
-        payload = {
-            "params": {"p": rep.p, "blowups": rep.blowups, "genus": rep.genus,
-                       "a_min": rep.a_min, "a_max": rep.a_max},
-            "nodes": rep.nodes,
-            "solutions": [
-                {
-                    "a": s.a,
-                    "b": list(s.b),
-                    "self_int": s.self_intersection,
-                    "passes": {"lines": lines, "conics": conics, "ohta_ono": s.ohta_ono},
-                }
-                for s, lines, conics in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        _print_search_json(rep, rows)
         return 0
     print("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives")
     for s, lines, conics in rows:
@@ -149,6 +133,41 @@ def _cmd_search(args) -> int:
               f"{s.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
     print(f"{len(rep.solutions)} solutions, {sum(s.survives for s in rep.solutions)} surviving")
     return 0
+
+
+# one solution in json.dumps(..., indent=2) layout, at its depth in the payload
+_SOLUTION_JSON = """    {
+      "a": %d,
+      "b": %s,
+      "self_int": %d,
+      "passes": {
+        "lines": %s,
+        "conics": %s,
+        "ohta_ono": %s
+      }
+    }"""
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _print_search_json(rep, rows) -> None:
+    """Print the search report as ``json.dumps(payload, indent=2)`` would,
+    one solution at a time, so no payload or output string is held whole."""
+    import json
+
+    head = json.dumps({"params": {"p": rep.p, "blowups": rep.blowups, "genus": rep.genus,
+                                  "a_min": rep.a_min, "a_max": rep.a_max},
+                       "nodes": rep.nodes}, indent=2)
+    write = sys.stdout.write
+    # the head ends in "\n}": the solutions list goes in before that brace
+    write(head[:-2] + ',\n  "solutions": [')
+    sep = "\n"
+    for s, lines, conics in rows:
+        b = "[\n        " + ",\n        ".join(map(str, s.b)) + "\n      ]" if s.b else "[]"
+        write(sep + _SOLUTION_JSON % (s.a, b, s.self_intersection, _JSON_BOOL[lines],
+                                      _JSON_BOOL[conics], _JSON_BOOL[s.ohta_ono]))
+        sep = ",\n"
+    # json.dumps prints an empty list as []
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _cmd_covers(args) -> int:

@@ -125,10 +125,14 @@ MUTANTS = [
     # search: the budget charges half the requested genus
     ("curves.py", "hat_genus_at_degree(slk, a) - genus)",
      "hat_genus_at_degree(slk, a) - genus // 2)", "test_curves.py"),
-    # _descending_tuples: a leaf's last entry comes first, so its tuple is not non-increasing
+    # _walk: a leaf's last entry comes first, so its tuple is not non-increasing
     ("curves.py", "out.append((*prefix, first))", "out.append((first, *prefix))", "test_curves.py"),
-    # _descending_tuples: the prune lets through a remainder the n - 1 entries cannot hold
+    # _walk: the prune lets through a remainder the n - 1 entries cannot hold
     ("curves.py", "if rest > (n - 1) * w:", "if rest > n * w:", "test_curves.py"),
+    # _tail: a reused tail subtree is looked up without its largest allowed entry
+    ("curves.py", "key = (n, hi, budget)", "key = (n, budget)", "test_curves.py"),
+    # _tail: a reused tail subtree adds no nodes to the count
+    ("curves.py", "visited[0] += hit[1]", "visited[0] += 0", "test_curves.py"),
     # _gromov: the sentinel 2 is dropped from the sorted entries
     ("curves.py", "b4, p, 2), reverse=True)", "b4, p, 0), reverse=True)", "test_curves.py"),
     # _gromov: the sentinel p is dropped from the sorted entries

@@ -1,6 +1,7 @@
 """Brute-force reference implementations that the tests compare against."""
 
 from functools import cache
+from math import isqrt
 
 from hatlab.braid import BraidWord
 from hatlab.curves import CurveClass
@@ -78,6 +79,60 @@ def count_solutions(p: int, blowups: int, a_min: int, a_max: int,
     budgets = [(a, a * a - 3 * a - (p * p - p) - 2 * genus)
                for a in range(a_min, a_max + 1)]
     return sum(count(blowups, a, budget) for a, budget in budgets if budget >= 0)
+
+
+def plain_search_walk(p: int, blowups: int, a_min: int, a_max: int,
+                      genus: int = 0) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """The search's classes ``(a, b)`` in its order, and its node count,
+    from the plain recursive walk that reuses no subtree.
+
+    Degrees with a negative budget a^2 - 3a - (p^2 - p) - 2*genus are not
+    walked; every other degree walks the tree of :func:`plain_walk`.
+    """
+    found: list[tuple[int, tuple[int, ...]]] = []
+    visited = [0]
+    for a in range(a_min, a_max + 1):
+        budget = a * a - 3 * a - (p * p - p) - 2 * genus
+        if budget >= 0:
+            tuples: list[tuple[int, ...]] = []
+            plain_walk(blowups, a, budget, [], tuples, visited)
+            found += [(a, b) for b in tuples]
+    return found, visited[0]
+
+
+def plain_walk(n: int, hi: int, budget: int, prefix: list[int],
+               out: list[tuple[int, ...]], visited: list[int]) -> None:
+    """Append to ``out`` every non-increasing n-tuple with entries in
+    [0, hi] and sum of b*(b-1) equal to the budget, each after ``prefix``.
+
+    Tuples come out lexicographically descending.  Every call is one node
+    and adds one to ``visited[0]``, and so does every leaf (a full tuple)
+    tested in the last level's loop.
+    """
+    visited[0] += 1
+    if n == 0:
+        if budget == 0:
+            out.append(tuple(prefix))
+        return
+    # start at the largest entry with first*(first-1) <= budget
+    top = min(hi, (1 + isqrt(1 + 4 * budget)) // 2)
+    if n == 1:
+        # entries only shrink from here, so once one misses the budget
+        # every later one does too
+        for first in range(top, -1, -1):
+            if first * (first - 1) != budget:
+                break
+            visited[0] += 1
+            out.append((*prefix, first))
+        return
+    for first in range(top, -1, -1):
+        w = first * (first - 1)
+        rest = budget - w
+        if rest > (n - 1) * w:
+            break  # smaller entries (at most `first` each) cannot make up the rest
+        prefix.append(first)
+        plain_walk(n - 1, first, rest, prefix, out, visited)
+        prefix.pop()
 
 
 def semigroup_elements(p: int, q: int, up_to: int) -> list[int]:

@@ -7,10 +7,12 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from hatlab import curves
 from hatlab.bounds import BoundsError, hat_genus_at_degree, triangular_lb
 from hatlab.curves import CurveClass, SearchError, search
-from oracles import brute_force_solutions, class_genus, count_solutions, gromov_flags
+from oracles import (brute_force_solutions, class_genus, count_solutions, gromov_flags,
+                     plain_search_walk)
 
 
 def test_curve_class_canonical_form():
@@ -228,10 +230,14 @@ def test_search_cap(monkeypatch):
 
 # Leaves of the last level count as nodes: every cap below the count trips,
 # on an inner node or on a leaf.  The last node of (3,1,0,6) is the leaf
-# (6; 4), so there only the leaf's own check can trip.
+# (6; 4), so there only the leaf's own check can trip.  (2,8,0,4) and
+# (5,6,0,9) reuse walked tails 3 and 7 times; the last nodes of (2,8,0,4)
+# are a reused tail's, so there only the check after its count can trip.
 @pytest.mark.parametrize("args, nodes, solutions", [
     ((5, 3, 0, 14), 103, 29),
     ((3, 1, 0, 6), 3, 1),
+    ((2, 8, 0, 4), 37, 8),
+    ((5, 6, 0, 9), 133, 39),
 ])
 def test_search_cap_trips_at_every_node(args, nodes, solutions, monkeypatch):
     assert search(*args).nodes == nodes
@@ -244,12 +250,55 @@ def test_search_cap_trips_at_every_node(args, nodes, solutions, monkeypatch):
                 search(*args)
 
 
+WALK_GRID = [(p, blowups, 0, triangular_lb((p * p - p + 2) // 2 + genus)[1] + 8, genus)
+             for p in range(2, 9) for blowups in range(9) for genus in range(3)]
+
+
+def test_search_walk_matches_the_plain_walk_on_a_grid():
+    # p 2..8, N 0..8, genus 0..2, eight degrees past the least one: the same
+    # tuples in the same order, and `nodes` counts every reused subtree in full
+    for args in WALK_GRID:
+        rep = search(*args)
+        want, nodes = plain_search_walk(*args)
+        assert [(s.a, s.b) for s in rep.solutions] == want, args
+        assert rep.nodes == nodes, args
+
+
+def _calls(module, name, run):
+    # how many times run() calls module.name, recursive calls included
+    count = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+
+    setattr(module, name, counted)
+    try:
+        run()
+    finally:
+        setattr(module, name, fn)
+    return count[0]
+
+
+def test_search_walks_each_tail_subtree_once():
+    # (8,7,0..34): the plain walk's tuples and its 139,312 nodes from under
+    # a third of its 103,393 calls, once the tails of three entries are reused
+    args = (8, 7, 0, 34)
+    rep = search(*args)
+    assert ([(s.a, s.b) for s in rep.solutions], rep.nodes) == plain_search_walk(*args)
+    assert rep.nodes == 139_312
+    plain = _calls(oracles, "plain_walk", lambda: plain_search_walk(*args))
+    assert plain == 103_393
+    assert 3 * _calls(curves, "_walk", lambda: search(*args)) < plain
+
+
 def test_search_rejects_a_class_off_the_adjunction_budget(monkeypatch):
-    def off_budget(n, hi, budget, prefix, out, visited, cap):
+    def off_budget(n, hi, budget, prefix, out, visited, cap, memo):
         visited[0] += 1
         out.append((hi - 1,) * n)  # (5, 5): 2 * 20 = 40, not the budget 12
 
-    monkeypatch.setattr(curves, "_descending_tuples", off_budget)
+    monkeypatch.setattr(curves, "_walk", off_budget)
     with pytest.raises(SearchError, match=r"internal error: class \(6; 5, 5\) breaks adjunction"):
         search(3, 2, 6, 6)
 
@@ -267,6 +316,7 @@ def test_search_cap_counts_nodes_visited(args, nodes, solutions, monkeypatch):
     rep = search(*args)
     assert len(rep.solutions) == solutions
     assert rep.nodes == nodes
+    assert ([(s.a, s.b) for s in rep.solutions], rep.nodes) == plain_search_walk(*args)
     monkeypatch.setattr(curves, "NODE_CAP", nodes)
     assert len(search(*args).solutions) == solutions
     monkeypatch.setattr(curves, "NODE_CAP", nodes - 1)

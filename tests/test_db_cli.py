@@ -148,6 +148,31 @@ def test_search_json_schema(capsys):
     assert sol["passes"]["ohta_ono"] is False
 
 
+@pytest.mark.parametrize("p, blowups, a_min, a_max, genus", [
+    (6, 4, 0, 12, 0), (3, 1, 0, 5, 0), (2, 0, 0, 12, 1), (5, 3, 0, 14, 2), (4, 4, 0, 14, 0),
+])
+def test_search_json_prints_what_json_dumps_prints(capsys, p, blowups, a_min, a_max, genus):
+    # the streamed output has the bytes of one json.dumps of the whole payload,
+    # for empty results and empty b lists too
+    from hatlab.curves import search
+
+    rep = search(p, blowups, a_min, a_max, genus)
+    payload = {
+        "params": {"p": p, "blowups": blowups, "genus": genus, "a_min": a_min, "a_max": a_max},
+        "nodes": rep.nodes,
+        "solutions": [
+            {"a": s.a, "b": list(s.b), "self_int": s.self_intersection,
+             "passes": {"lines": s.gromov.line_with_cusp and s.gromov.line_two_points,
+                        "conics": s.gromov.conic_with_cusp and s.gromov.conic_five_points,
+                        "ohta_ono": s.ohta_ono}}
+            for s in rep.solutions],
+    }
+    rc, out = run_cli(capsys, "search", "--p", str(p), "--blowups", str(blowups), "--amin",
+                      str(a_min), "--amax", str(a_max), "--genus", str(genus), "--json")
+    assert rc == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_search_tsv(capsys):
     rc, out = run_cli(capsys, "search", "--p", "3", "--blowups", "1",
                       "--amin", "0", "--amax", "20")
