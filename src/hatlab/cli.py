@@ -127,11 +127,12 @@ def _cmd_search(args) -> int:
     if args.json:
         _print_search_json(rep, rows)
         return 0
-    print("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives")
+    write = sys.stdout.write
+    write("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives\n")
     for s, lines, conics in rows:
-        print(f"{s.a}\t{','.join(map(str, s.b)) or '-'}\t"
-              f"{s.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}")
-    print(f"{len(rep.solutions)} solutions, {sum(s.survives for s in rep.solutions)} surviving")
+        write(f"{s.a}\t{','.join(map(str, s.b)) or '-'}\t"
+              f"{s.self_intersection}\t{lines}\t{conics}\t{s.ohta_ono}\t{s.survives}\n")
+    write(f"{len(rep.solutions)} solutions, {sum(s.survives for s in rep.solutions)} surviving\n")
     return 0
 
 

@@ -38,13 +38,26 @@ to 0.34, 0.20 and 0.14 s and the search's traced peak from 43.8 MB to 44.0,
 Each emitted class is annotated in one pass: its coefficients are summed once
 (``sum b_i`` and ``sum b_i^2``) for adjunction and the cap, and the
 positivity flags sort only the five largest entries with the two sentinels.
+Those flags depend only on ``a`` and ``b[:5]``, and a degree's tuples come
+out lexicographically descending, so tuples with equal leading entries are
+adjacent: the flags are computed once per such run (at (8,8,0..40), 96,534
+times for 247,398 solutions), with no table that grows with the search.
 A class passes when ``all_permuted`` holds, which implies the other four
 flags: the two (five) largest of b and the sentinels sum to at least any
 other two (five) of them.
+
+The records a search builds hold no reference cycles, so the cyclic garbage
+collector has nothing to free among them; left running, its full passes
+re-scan every record built so far (40 full passes, freeing nothing, over
+four rounds of the benchmark's ladder and capped searches).  ``search``
+pauses it while it walks and builds records, and restores it on the way
+out, error or not, only if it was running on entry.  The pause is
+process-wide; hatlab is single-threaded.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
@@ -257,6 +270,11 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     cap trips do not depend on the reuse.  The walk nests one call per
     blow-up, so a search with more blow-ups than Python's recursion limit
     allows raises :class:`SearchError` too.
+
+    The cyclic garbage collector is paused while the search runs, as its
+    records form no cycles; on exit, after a :class:`SearchError` too, it is
+    enabled again if and only if it was enabled on entry.  The pause is
+    process-wide, which is safe as hatlab runs one thread.
     """
     if p < 2:
         raise SearchError("need p >= 2")
@@ -272,20 +290,32 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     visited = [0]
     memo: dict = {}  # the walk's tails, for this search only
     found: list[Annotated] = []
-    for a in range(max(a_min, first), a_max + 1):
-        # twice the genus the blown-up points absorb, sum b_i(b_i - 1)/2
-        budget = 2 * (hat_genus_at_degree(slk, a) - genus)
-        tuples: list[tuple[int, ...]] = []
-        try:
-            _walk(blowups, a, budget, [], tuples, visited, NODE_CAP, memo)
-        except RecursionError:  # the walk nests one call per blow-up
-            raise SearchError(f"{blowups} blow-ups nest the enumeration deeper than "
-                              "Python's recursion limit") from None
-        for b in tuples:
-            squares = sum(map(mul, b, b))
-            if squares - sum(b) != budget:
-                raise SearchError(
-                    f"internal error: class {CurveClass(a, b)} breaks adjunction"
-                    f" at p={p}, genus={genus}")
-            found.append(Annotated(a, b, _gromov(p, a, b), a * a - squares <= self_int_cap))
+    # the records form no cycles, so a collection pass would free nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for a in range(max(a_min, first), a_max + 1):
+            # twice the genus the blown-up points absorb, sum b_i(b_i - 1)/2
+            budget = 2 * (hat_genus_at_degree(slk, a) - genus)
+            tuples: list[tuple[int, ...]] = []
+            try:
+                _walk(blowups, a, budget, [], tuples, visited, NODE_CAP, memo)
+            except RecursionError:  # the walk nests one call per blow-up
+                raise SearchError(f"{blowups} blow-ups nest the enumeration deeper than "
+                                  "Python's recursion limit") from None
+            last = None  # the five largest entries of the previous tuple of this degree
+            for b in tuples:
+                squares = sum(map(mul, b, b))
+                if squares - sum(b) != budget:
+                    raise SearchError(
+                        f"internal error: class {CurveClass(a, b)} breaks adjunction"
+                        f" at p={p}, genus={genus}")
+                top = b[:5]
+                if top != last:  # a run of tuples with equal leading entries starts
+                    last = top
+                    detail = _gromov(p, a, b)
+                found.append(Annotated(a, b, detail, a * a - squares <= self_int_cap))
+    finally:
+        if collecting:
+            gc.enable()
     return SearchReport(p, blowups, genus, a_min, a_max, tuple(found), visited[0])

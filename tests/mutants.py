@@ -133,6 +133,13 @@ MUTANTS = [
     ("curves.py", "key = (n, hi, budget)", "key = (n, budget)", "test_curves.py"),
     # _tail: a reused tail subtree adds no nodes to the count
     ("curves.py", "visited[0] += hit[1]", "visited[0] += 0", "test_curves.py"),
+    # search: a run of equal flags is keyed by four leading entries, not five
+    ("curves.py", "top = b[:5]", "top = b[:4]", "test_curves.py"),
+    # search: the flags of a degree's first tuple are given to all its tuples
+    ("curves.py", "if top != last:", "if last is None:", "test_curves.py"),
+    # search: the collector, paused during the search, is left paused
+    ("curves.py", "        if collecting:\n            gc.enable()",
+     "        if collecting:\n            pass", "test_curves.py"),
     # _gromov: the sentinel 2 is dropped from the sorted entries
     ("curves.py", "b4, p, 2), reverse=True)", "b4, p, 0), reverse=True)", "test_curves.py"),
     # _gromov: the sentinel p is dropped from the sorted entries

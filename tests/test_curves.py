@@ -1,5 +1,6 @@
 """Curve-class enumeration: adjunction, positivity filters, searches."""
 
+import gc
 import random
 import tracemalloc
 from dataclasses import astuple
@@ -143,7 +144,13 @@ def test_search_annotations_match_the_formulas():
              search(2, 1, 0, 30), search(3, 2, 0, 20), search(6, 3, 0, 20),
              search(4, 4, 0, 14)]
     assert [len(r.solutions) for r in small] == [1, 1, 1, 11, 41, 78]
-    for r in [rep, *small]:
+    # the flags are computed once per run of tuples with equal b[:5]: at N = 5
+    # each run is one tuple, and at N = 6 and 8 runs share b[:4] with their
+    # neighbours but not the flags
+    runs = [search(6, 5, 0, 18), search(5, 5, 0, 20), search(6, 6, 0, 20),
+            search(5, 8, 0, 16)]
+    assert [len(r.solutions) for r in runs] == [313, 597, 1_139, 1_706]
+    for r in [rep, *small, *runs]:
         for s in r.solutions:
             c = s.cls
             # the walk's tuples are canonical: the class's sort changes nothing
@@ -226,6 +233,41 @@ def test_search_cap(monkeypatch):
     monkeypatch.setattr(curves, "NODE_CAP", 1000)
     with pytest.raises(SearchError):
         search(3, 6, 0, 500, genus=0)
+
+
+def test_search_pauses_the_collector_and_restores_it(monkeypatch):
+    assert gc.isenabled()
+    seen = []
+    gromov = curves._gromov
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return gromov(*args)
+
+    monkeypatch.setattr(curves, "_gromov", recording)
+    search(6, 4, 0, 12)
+    assert seen and not any(seen)  # paused while the records are built
+    assert gc.isenabled()
+    with pytest.raises(SearchError, match="blow-ups nest the enumeration"):
+        search(3, 5000, 0, 6)
+    assert gc.isenabled()
+    monkeypatch.setattr(curves, "NODE_CAP", 50)
+    with pytest.raises(SearchError, match="exceeds cap"):
+        search(6, 4, 0, 12)
+    assert gc.isenabled()
+
+
+def test_search_leaves_a_paused_collector_paused(monkeypatch):
+    gc.disable()
+    try:
+        search(6, 4, 0, 12)
+        assert not gc.isenabled()
+        monkeypatch.setattr(curves, "NODE_CAP", 50)
+        with pytest.raises(SearchError, match="exceeds cap"):
+            search(6, 4, 0, 12)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # Leaves of the last level count as nodes: every cap below the count trips,

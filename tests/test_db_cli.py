@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, JSON schema."""
 
+import io
 import json
 import os
 import subprocess
@@ -171,6 +172,32 @@ def test_search_json_prints_what_json_dumps_prints(capsys, p, blowups, a_min, a_
                       str(a_min), "--amax", str(a_max), "--genus", str(genus), "--json")
     assert rc == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p, blowups, a_min, a_max, genus", [
+    (6, 4, 0, 12, 0), (2, 0, 0, 12, 1), (5, 3, 0, 14, 2), (3, 1, 0, 4, 0),
+])
+def test_search_tsv_prints_what_one_print_per_row_prints(capsys, p, blowups, a_min, a_max,
+                                                          genus):
+    # the rows written one string each have the bytes of one print per row,
+    # for an empty result and empty b lists too
+    from hatlab.curves import search
+
+    rep = search(p, blowups, a_min, a_max, genus)
+    want = io.StringIO()
+    print("a\tb\tself_int\tlines\tconics\tohta_ono\tsurvives", file=want)
+    for s in rep.solutions:
+        g = s.gromov
+        print(f"{s.a}\t{','.join(map(str, s.b)) or '-'}\t{s.self_intersection}\t"
+              f"{g.line_with_cusp and g.line_two_points}\t"
+              f"{g.conic_with_cusp and g.conic_five_points}\t{s.ohta_ono}\t{s.survives}",
+              file=want)
+    print(f"{len(rep.solutions)} solutions, {sum(s.survives for s in rep.solutions)} surviving",
+          file=want)
+    rc, out = run_cli(capsys, "search", "--p", str(p), "--blowups", str(blowups), "--amin",
+                      str(a_min), "--amax", str(a_max), "--genus", str(genus))
+    assert rc == 0
+    assert out == want.getvalue()
 
 
 def test_search_tsv(capsys):
