@@ -121,7 +121,7 @@ def _cmd_search(args) -> int:
     from . import curves as curves_mod
 
     rep = curves_mod.search(args.p, args.blowups, args.amin, args.amax, args.genus)
-    # a generator: no row list is held, and no CurveClass is built per row
+    # a generator: no row list is held; each row reads the record's own fields
     rows = ((s, s.gromov.line_with_cusp and s.gromov.line_two_points,
              s.gromov.conic_with_cusp and s.gromov.conic_five_points) for s in rep.solutions)
     if args.json:

@@ -237,6 +237,8 @@ def _insert(w: BraidWord, position: int, index: int) -> BraidWord:
 def _crossing_change(w: BraidWord, position: int, index: int) -> BraidWord:
     if not (0 <= position < len(w.letters)):
         raise ScriptError(f"crossing-change position {position} out of range")
+    if not (1 <= index < w.strands):
+        raise ScriptError(f"crossing-change index {index} out of range")
     if w.letters[position] != -index:
         raise ScriptError(
             f"crossing change expects sigma_{index}^-1 at position "

@@ -19,12 +19,11 @@ from ``bounds.triangular_lb``, so every degree walked visits a node and
 ``NODE_CAP`` bounds the whole search.
 
 A search can emit a quarter of a million classes, so the objects are kept
-small: each solution is one slotted :class:`Annotated` record that holds
-``a`` and the walk's tuple ``b`` inline, and the five positivity booleans
-are shared, one :class:`GromovDetail` per combination.  The walk's tuples
-are already canonical, so a search builds no :class:`CurveClass` and
-re-sorts no tuple; ``Annotated.cls`` builds the class through its public
-constructor when a reader asks for it.  The enumeration walks one shared
+small: each solution is one slotted :class:`Annotated` record, the one type
+of a class in this module, that holds ``a`` and the walk's tuple ``b``
+inline, and the five positivity booleans are shared, one
+:class:`GromovDetail` per combination.  The walk's tuples are already
+canonical, so no tuple is re-sorted.  The enumeration walks one shared
 prefix list and emits the solutions already in output order; nothing is
 sorted afterwards.  Its last level tests each leaf ``b_N(b_N - 1) ==
 budget`` in a loop rather than one call per leaf.  The walk meets the same
@@ -69,26 +68,6 @@ from .bounds import hat_genus_at_degree, triangular_lb
 
 class SearchError(HatlabError):
     pass
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class CurveClass:
-    a: int
-    b: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        b = tuple(sorted(self.b, reverse=True))
-        if self.a < 0 or (b and b[-1] < 0):
-            raise SearchError("coefficients must be non-negative")
-        if b != self.b:
-            object.__setattr__(self, "b", b)
-
-    @property
-    def self_intersection(self) -> int:
-        return self.a * self.a - sum(map(mul, self.b, self.b))
-
-    def __str__(self) -> str:
-        return f"({self.a}; {', '.join(map(str, self.b)) or '-'})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,12 +123,14 @@ class Annotated:
     gromov: GromovDetail
     ohta_ono: bool
 
-    # the class's own formula, read from the fields held here
-    self_intersection = CurveClass.self_intersection
+    @property
+    def self_intersection(self) -> int:
+        return self.a * self.a - sum(map(mul, self.b, self.b))
 
     @property
-    def cls(self) -> CurveClass:
-        return CurveClass(self.a, self.b)
+    def cls(self) -> Annotated:
+        # an alias for perfbench's Search.check, which reads s.cls.a, .b and .self_intersection
+        return self
 
     @property
     def survives(self) -> bool:
@@ -167,8 +148,8 @@ class SearchReport:
     nodes: int  # enumeration nodes visited
 
     @property
-    def surviving(self) -> list[CurveClass]:
-        return [s.cls for s in self.solutions if s.survives]
+    def surviving(self) -> list[Annotated]:
+        return [s for s in self.solutions if s.survives]
 
 
 # Entries at the end of the walk whose subtrees are walked once per search;
@@ -308,8 +289,8 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
                 squares = sum(map(mul, b, b))
                 if squares - sum(b) != budget:
                     raise SearchError(
-                        f"internal error: class {CurveClass(a, b)} breaks adjunction"
-                        f" at p={p}, genus={genus}")
+                        f"internal error: class ({a}; {', '.join(map(str, b)) or '-'})"
+                        f" breaks adjunction at p={p}, genus={genus}")
                 top = b[:5]
                 if top != last:  # a run of tuples with equal leading entries starts
                     last = top

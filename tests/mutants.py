@@ -101,6 +101,10 @@ MUTANTS = [
     # _comb: the strand-free residue is not combed at all
     ("cobordism.py", "    out.extend(_comb(n - 1, list(reduced.letters)))\n", "",
      "test_cobordism.py"),
+    # _crossing_change: a generator outside B_n is not refused before the letter is read
+    ("cobordism.py", '    if not (1 <= index < w.strands):\n'
+     '        raise ScriptError(f"crossing-change index {index} out of range")\n', "",
+     "test_cobordism.py"),
     # _aligning_conjugator: a 2-strand link passes the knot check
     ("cobordism.py", "if len(cycle) < n:", "if n > 2 and len(cycle) < n:", "test_cobordism.py"),
     # check_record: a negative slice genus is accepted
@@ -140,6 +144,12 @@ MUTANTS = [
     # search: the collector, paused during the search, is left paused
     ("curves.py", "        if collecting:\n            gc.enable()",
      "        if collecting:\n            pass", "test_curves.py"),
+    # Annotated: the self-intersection adds the squares of the b_i
+    ("curves.py", "return self.a * self.a - sum(map(mul, self.b, self.b))",
+     "return self.a * self.a + sum(map(mul, self.b, self.b))", "test_curves.py"),
+    # SearchReport.surviving: the Ohta-Ono cap is left out
+    ("curves.py", "return [s for s in self.solutions if s.survives]",
+     "return [s for s in self.solutions if s.gromov.passes]", "test_curves.py"),
     # _gromov: the sentinel 2 is dropped from the sorted entries
     ("curves.py", "b4, p, 2), reverse=True)", "b4, p, 0), reverse=True)", "test_curves.py"),
     # _gromov: the sentinel p is dropped from the sorted entries

@@ -4,52 +4,48 @@ from functools import cache
 from math import isqrt
 
 from hatlab.braid import BraidWord
-from hatlab.curves import CurveClass
 
 
 def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
-                          genus: int = 0) -> list[CurveClass]:
+                          genus: int = 0) -> list[tuple[int, tuple[int, ...]]]:
     """Naive nested-loop oracle over all unsorted tuples; for cross-checks.
 
-    A class is a solution when its smooth genus, after the T(p,p+1) and
-    T(2,3) cusps absorb their Milnor genera p(p-1)/2 and 1, is ``genus``.
+    A class (a; b) is a solution when its smooth genus, after the T(p,p+1)
+    and T(2,3) cusps absorb their Milnor genera p(p-1)/2 and 1, is
+    ``genus``.  The classes come back as ``(a, b)`` with b non-increasing,
+    ascending in a and lexicographically descending in b.
     """
     out = set()
     sing = p * (p - 1) // 2 + 1
 
     def rec(a, prefix, n):
         if n == 0:
-            cls = CurveClass(a, tuple(prefix))
-            if class_genus(cls, sing) == genus:
-                out.add(cls)
+            if class_genus(a, prefix, sing) == genus:
+                out.add((a, tuple(sorted(prefix, reverse=True))))
             return
         for v in range(0, a + 1):
             rec(a, prefix + [v], n - 1)
 
     for a in range(a_min, a_max + 1):
         rec(a, [], blowups)
-    return sorted(out, key=lambda c: (c.a, tuple(-x for x in c.b)))
+    return sorted(out, key=lambda c: (c[0], tuple(-x for x in c[1])))
 
 
-def class_genus(c: CurveClass, sing_genus_sum: int) -> int:
-    """Smooth genus of a curve in class c whose cusps contribute the given genus."""
-    return (
-        (c.a - 1) * (c.a - 2) // 2
-        - sum(x * (x - 1) // 2 for x in c.b)
-        - sing_genus_sum
-    )
+def class_genus(a: int, b: tuple[int, ...], sing_genus_sum: int) -> int:
+    """Smooth genus of a curve in class (a; b) whose cusps contribute the given genus."""
+    return (a - 1) * (a - 2) // 2 - sum(x * (x - 1) // 2 for x in b) - sing_genus_sum
 
 
-def gromov_flags(p: int, c: CurveClass) -> tuple[bool, bool, bool, bool, bool]:
-    """The five positivity flags of ``curves.GromovDetail``, from the formulas.
+def gromov_flags(p: int, a: int, b: tuple[int, ...]) -> tuple[bool, bool, bool, bool, bool]:
+    """The five positivity flags of ``curves.GromovDetail`` for the class
+    (a; b), b non-increasing, from the formulas.
 
     The coefficients are padded with zeros to five entries; for the permuted
     check the sentinels p and 2 are appended to all of them and the whole
     list is sorted again.
     """
-    a = c.a
-    b = list(c.b) + [0] * max(0, 5 - len(c.b))
-    ext = sorted(list(c.b) + [p, 2], reverse=True) + [0] * 5
+    ext = sorted(list(b) + [p, 2], reverse=True) + [0] * 5
+    b = list(b) + [0] * max(0, 5 - len(b))
     return (
         a >= b[0] + p,
         a >= b[0] + b[1],

@@ -28,7 +28,7 @@ from hatlab.bounds import (
 )
 from hatlab.corpus import verify_corpus
 from hatlab.covers import cy_cover_test, double_cover_books
-from hatlab.curves import CurveClass, search
+from hatlab.curves import search
 from hatlab.db import load_db
 from oracles import brute_force_solutions, semigroup_elements
 
@@ -133,25 +133,25 @@ def test_criterion_6_curve_searches():
     t0 = time.time()
 
     rep = search(3, 1, 0, 20, genus=0)
-    assert [s.cls for s in rep.solutions] == [CurveClass(6, (4,))]
+    assert [(s.a, s.b) for s in rep.solutions] == [(6, (4,))]
     sol = rep.solutions[0]
-    assert sol.cls.self_intersection == 20 and not sol.ohta_ono  # 20 > 18
+    assert sol.self_intersection == 20 and not sol.ohta_ono  # 20 > 18
 
     rep = search(4, 1, 0, 30, genus=1)
-    assert [s.cls for s in rep.solutions] == [CurveClass(10, (8,))]
+    assert [(s.a, s.b) for s in rep.solutions] == [(10, (8,))]
     assert not rep.solutions[0].gromov.line_with_cusp  # 10 < 8 + 4
 
     rep = search(6, 4, 0, 9, genus=0)
     passing = [s for s in rep.solutions if s.gromov.passes]
-    assert [s.cls for s in passing] == [CurveClass(9, (3, 3, 3, 3))]
-    assert passing[0].cls.self_intersection == 45
+    assert [(s.a, s.b) for s in passing] == [(9, (3, 3, 3, 3))]
+    assert passing[0].self_intersection == 45
 
     rep = search(7, 5, 9, 16, genus=0)
     assert not [s for s in rep.solutions if s.gromov.passes]
 
     for p in (2, 3, 4):
         for blowups in (1, 2):
-            fast = [s.cls for s in search(p, blowups, 0, 12, genus=0).solutions]
+            fast = [(s.a, s.b) for s in search(p, blowups, 0, 12, genus=0).solutions]
             assert fast == brute_force_solutions(p, blowups, 0, 12, genus=0)
 
     elapsed = time.time() - t0
@@ -216,7 +216,7 @@ def test_criterion_8_offline_property_suites():
     parts = []
     for lo, hi in [(8, 14), (0, 7)]:
         parts.extend(search(5, 2, lo, hi, genus=0).solutions)
-    parts.sort(key=lambda s: (s.cls.a, tuple(-x for x in s.cls.b)))
+    parts.sort(key=lambda s: (s.a, tuple(-x for x in s.b)))
     assert list(whole) == parts
 
     # triangular / semigroup oracle equivalence

@@ -110,6 +110,7 @@ _STEP_ERRORS = [
     ([("cc", 0, 1)],
      "step 0 (cc 0 x): crossing change expects sigma_1^-1 at position 0, found letter 1"),
     ([("cc", 4, 2)], "step 0 (cc 4 y): crossing-change position 4 out of range"),
+    ([("cc", 0, 3)], "step 0 (cc 0 z): crossing-change index 3 out of range"),
     ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts"
      " (operand 1 is in B_2, the word in B_3)"),
     ([("stab", 2)], "step 0 (stab 2): stabilization sign must be +1 or -1"),
@@ -238,7 +239,7 @@ def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
     ((("ins", 0, 5),), "move 0: 'ins' operand 2 must be a generator in 1..2, got 5",
      "step 0 (ins 0 s5): insert index 5 out of range"),
     ((("cc", 0, 0),), "move 0: 'cc' operand 2 must be a generator in 1..2, got 0",
-     "step 0 (cc 0 s0): crossing change expects sigma_0^-1 at position 0, found letter 1"),
+     "step 0 (cc 0 s0): crossing-change index 0 out of range"),
     ((("stab", 2),), "move 0: 'stab' operand 1 must be +1 or -1, got 2",
      "step 0 (stab 2): stabilization sign must be +1 or -1"),
     # the strand count moves with stab and destab, as parse_script's does

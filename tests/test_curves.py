@@ -11,36 +11,26 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hatlab import curves
 from hatlab.bounds import BoundsError, hat_genus_at_degree, triangular_lb
-from hatlab.curves import CurveClass, SearchError, search
+from hatlab.curves import SearchError, search
 from oracles import (brute_force_solutions, class_genus, count_solutions, gromov_flags,
                      plain_search_walk)
 
 
-def test_curve_class_canonical_form():
-    c = CurveClass(9, (3, 3, 1, 2))
-    assert c.b == (3, 3, 2, 1)
-    assert CurveClass(9, (3, 3, 2, 1)) == c
-    assert c.self_intersection == 81 - 23
-
-
-def test_curve_class_rejects_negatives():
-    with pytest.raises(SearchError):
-        CurveClass(-1)
-    with pytest.raises(SearchError):
-        CurveClass(2, (1, -1))
+def _classes(solutions):
+    return [(s.a, s.b) for s in solutions]
 
 
 def test_adjunction_examples():
-    assert CurveClass(9, (3, 3, 3, 3)) in [s.cls for s in search(6, 4, 9, 9).solutions]
-    assert [s.cls for s in search(2, 0, 0, 0).solutions] == []
-    assert CurveClass(10, (8,)) not in [s.cls for s in search(4, 1, 10, 10, genus=0).solutions]
-    assert [s.cls for s in search(4, 1, 10, 10, genus=1).solutions] == [CurveClass(10, (8,))]
+    assert (9, (3, 3, 3, 3)) in _classes(search(6, 4, 9, 9).solutions)
+    assert _classes(search(2, 0, 0, 0).solutions) == []
+    assert (10, (8,)) not in _classes(search(4, 1, 10, 10, genus=0).solutions)
+    assert _classes(search(4, 1, 10, 10, genus=1).solutions) == [(10, (8,))]
 
 
 def test_class_genus_examples():
-    assert class_genus(CurveClass(6, (4,)), 4) == 0
-    assert class_genus(CurveClass(1), 0) == 0
-    assert class_genus(CurveClass(10, (8,)), 7) == 1
+    assert class_genus(6, (4,), 4) == 0
+    assert class_genus(1, (), 0) == 0
+    assert class_genus(10, (8,), 7) == 1
 
 
 def test_adjunction_agrees_with_class_genus():
@@ -52,12 +42,12 @@ def test_adjunction_agrees_with_class_genus():
     for _ in range(300):
         p = rng.randint(2, 7)
         a = rng.randint(0, 14)
-        b = tuple(rng.randint(0, a) for _ in range(rng.randint(0, 4))) if a else ()
+        b = tuple(sorted((rng.randint(0, a) for _ in range(rng.randint(0, 4))),
+                         reverse=True)) if a else ()
         g = rng.randint(0, 3)
-        c = CurveClass(a, b)
         sing = milnor_genus(p, p + 1) + milnor_genus(2, 3)
-        found = [s.cls for s in search(p, len(b), a, a, genus=g).solutions]
-        assert (c in found) == (class_genus(c, sing) == g), (p, c, g)
+        found = _classes(search(p, len(b), a, a, genus=g).solutions)
+        assert ((a, b) in found) == (class_genus(a, b, sing) == g), (p, a, b, g)
 
 
 def _hat_genus(slk, d):
@@ -105,30 +95,30 @@ def test_gromov_examples():
 
 def test_search_k3_case():
     rep = search(3, 1, 0, 20, genus=0)
-    assert [s.cls for s in rep.solutions] == [CurveClass(6, (4,))]
+    assert _classes(rep.solutions) == [(6, (4,))]
     sol = rep.solutions[0]
-    assert sol.cls.self_intersection == 20
+    assert sol.self_intersection == 20
     assert not sol.ohta_ono  # 20 > 3^2 + 9
 
 
 def test_search_k4_genus1_case():
     rep = search(4, 1, 0, 30, genus=1)
-    assert [s.cls for s in rep.solutions] == [CurveClass(10, (8,))]
+    assert _classes(rep.solutions) == [(10, (8,))]
     assert not rep.solutions[0].gromov.line_with_cusp
 
 
 def test_search_k6_case():
     rep = search(6, 4, 0, 9, genus=0)
     passing = [s for s in rep.solutions if s.gromov.passes]
-    assert [s.cls for s in passing] == [CurveClass(9, (3, 3, 3, 3))]
-    assert passing[0].cls.self_intersection == 45
+    assert _classes(passing) == [(9, (3, 3, 3, 3))]
+    assert passing[0].self_intersection == 45
     assert passing[0].ohta_ono  # 45 <= 6^2 + 9: the cap is not strict
     # beyond a = 9 every positivity-compatible solution breaks the cusp cap
     rep = search(6, 4, 10, 25, genus=0)
     assert not [s for s in rep.solutions if s.gromov.passes and s.ohta_ono]
     for s in rep.solutions:
         if s.gromov.passes:
-            assert 3 * s.cls.a - sum(s.cls.b) >= s.cls.a + 6
+            assert 3 * s.a - sum(s.b) >= s.a + 6
 
 
 def test_search_k7_case():
@@ -152,12 +142,11 @@ def test_search_annotations_match_the_formulas():
     assert [len(r.solutions) for r in runs] == [313, 597, 1_139, 1_706]
     for r in [rep, *small, *runs]:
         for s in r.solutions:
-            c = s.cls
-            # the walk's tuples are canonical: the class's sort changes nothing
-            assert (c.a, c.b) == (s.a, s.b)
-            assert astuple(s.gromov) == gromov_flags(r.p, c)
-            self_int = c.a * c.a - sum(x * x for x in c.b)
-            assert c.self_intersection == self_int == s.self_intersection
+            # the walk's tuples are canonical: sorting changes nothing
+            assert s.b == tuple(sorted(s.b, reverse=True))
+            assert astuple(s.gromov) == gromov_flags(r.p, s.a, s.b)
+            self_int = s.a * s.a - sum(x * x for x in s.b)
+            assert s.self_intersection == self_int
             assert s.ohta_ono == (self_int <= r.p * r.p + 9)
             assert s.survives == (s.gromov.passes and s.ohta_ono)
 
@@ -171,8 +160,8 @@ def test_search_annotations_match_the_formulas():
 def test_gromov_matches_the_formulas_on_any_class(p, a, b):
     # any length, N < 5 included, and entries above p; entries up to half
     # the largest a keep each sum near its bound 2a
-    c = CurveClass(a, tuple(b))
-    assert astuple(curves._gromov(p, c.a, c.b)) == gromov_flags(p, c)
+    b = tuple(sorted(b, reverse=True))
+    assert astuple(curves._gromov(p, a, b)) == gromov_flags(p, a, b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -194,16 +183,16 @@ def test_search_solutions_reverify():
     rep = search(5, 3, 0, 14, genus=0)
     assert rep.solutions
     for s in rep.solutions:
-        assert class_genus(s.cls, 5 * 4 // 2 + 1) == 0
-        assert astuple(s.gromov) == gromov_flags(5, s.cls)
-        assert s.ohta_ono == (s.cls.self_intersection <= 5 * 5 + 9)
+        assert class_genus(s.a, s.b, 5 * 4 // 2 + 1) == 0
+        assert astuple(s.gromov) == gromov_flags(5, s.a, s.b)
+        assert s.ohta_ono == (s.self_intersection <= 5 * 5 + 9)
 
 
 def test_search_oracle_equivalence():
     for p in (2, 3, 4):
         for blowups in (0, 1, 2):
             for genus in (0, 1):
-                fast = [s.cls for s in search(p, blowups, 0, 12, genus=genus).solutions]
+                fast = _classes(search(p, blowups, 0, 12, genus=genus).solutions)
                 slow = brute_force_solutions(p, blowups, 0, 12, genus=genus)
                 assert fast == slow, (p, blowups, genus)
 
@@ -213,7 +202,7 @@ def test_search_order_independence():
     chunks = []
     for lo, hi in [(7, 12), (0, 3), (4, 6)]:
         chunks.extend(search(6, 4, lo, hi, genus=0).solutions)
-    chunks.sort(key=lambda s: (s.cls.a, tuple(-x for x in s.cls.b)))
+    chunks.sort(key=lambda s: (s.a, tuple(-x for x in s.b)))
     assert list(full.solutions) == chunks
 
 
@@ -372,7 +361,7 @@ def test_search_cap_counts_nodes_visited(args, nodes, solutions, monkeypatch):
 ])
 def test_search_emits_solutions_in_order(args, genus):
     # ascending in a, lexicographically descending in b, each class once
-    keys = [(s.cls.a, tuple(-x for x in s.cls.b))
+    keys = [(s.a, tuple(-x for x in s.b))
             for s in search(*args, genus=genus).solutions]
     assert keys
     assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
@@ -386,7 +375,7 @@ def test_search_count_matches_memoized_count(args):
 def test_search_objects_are_compact():
     rep = search(8, 6, 0, 30)
     sol = rep.solutions[0]
-    for obj in (sol, sol.cls, sol.gromov):
+    for obj in (sol, sol.gromov):
         assert not hasattr(obj, "__dict__")
     # one shared detail per combination of the five booleans
     assert len({id(s.gromov) for s in rep.solutions}) <= 32
@@ -395,7 +384,7 @@ def test_search_objects_are_compact():
 def test_search_holds_one_record_per_solution():
     # A solution is one slotted record, its tuple b and its slot in the
     # report's tuple: 168 bytes at N = 7 on CPython 3.11.  The bound refuses
-    # a second object per solution, such as a wrapped CurveClass (208).
+    # a second object per solution, such as a wrapper holding a and b (208).
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -416,8 +405,7 @@ def test_search_holds_one_record_per_solution():
 def test_sentinels_never_weaken(p, a, b):
     """Appending the sentinel coefficients only tightens the constraints."""
     b = tuple(x for x in b if x <= a)
-    c = CurveClass(a, b)
-    d = curves._gromov(p, c.a, c.b)
+    d = curves._gromov(p, a, tuple(sorted(b, reverse=True)))
     bare = sorted(b, reverse=True) + [0] * 5
     bare_pair = a >= bare[0] + bare[1]
     bare_five = 2 * a >= sum(bare[:5])
