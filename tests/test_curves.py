@@ -211,6 +211,30 @@ def test_search_rejects_an_empty_degree_range():
         search(3, 1, 5, 4)
 
 
+def test_search_rejects_negative_parameters():
+    # no class has a negative coefficient, so no search may ask for one
+    for args, genus in [((3, -1, 0, 6), 0), ((3, 1, -1, 6), 0), ((3, 1, 0, 6), -1)]:
+        with pytest.raises(SearchError, match=r"^bad search parameters$"):
+            search(*args, genus=genus)
+    with pytest.raises(SearchError, match=r"^need p >= 2$"):
+        search(1, 1, 0, 6)
+
+
+def test_search_record_is_its_own_class():
+    # perfbench reads s.cls.a, s.cls.b and s.cls.self_intersection, and
+    # counts rep.surviving: both hand back the search's own records
+    rep = search(6, 6, 0, 20)
+    for s in rep.solutions:
+        assert s.cls is s
+    sol = next(s for s in rep.solutions if (s.a, s.b) == (9, (3, 3, 3, 3, 0, 0)))
+    assert sol.cls.self_intersection == 81 - 36
+    kept = [s for s in rep.solutions if s.survives]
+    # some classes pass the positivity tests and break the cusp cap
+    assert kept and len(kept) < sum(s.gromov.passes for s in rep.solutions)
+    assert len(rep.surviving) == len(kept)
+    assert all(x is y for x, y in zip(rep.surviving, kept))
+
+
 def test_search_refuses_more_blowups_than_the_walk_can_nest():
     # The walk nests one call per blow-up: a deeper search is an input error.
     with pytest.raises(SearchError, match=r"^5000 blow-ups nest the enumeration deeper than "):
