@@ -26,6 +26,8 @@ they arrive, which leaves Delta only at the front and identities only at the
 end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
 Each call builds two factor tables once, the transposition sigma_i and
 C_i = Delta sigma_i^-1 for every i, and each letter appends its entry.
+``equal`` normalizes only the letters between two words' shared ends, so
+an ``eq`` step certifies only the stretch it rewrites: B_n is a group.
 
 This module owns every spelling of a letter: ``parse_braid`` reads braid
 text, ``parse_generator`` reads one generator operand of a script (a
@@ -405,7 +407,7 @@ def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
             a[x], a[y] = i, i - 1
             pos[i - 1], pos[i] = y, x
             b[i - 1], b[i] = b[i], b[i - 1]
-            i = max(i - 1, 1)
+            i = i - 1 if i > 1 else 1
         else:
             i += 1
     return tuple(a), tuple(b)
@@ -456,11 +458,24 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Decide whether two words represent the same element of B_n.
 
     Sound and complete: reduces to identity of Garside normal forms, which
-    identical letters need not compute.
+    identical letters need not compute.  Only the letters between the
+    longest shared prefix and the longest shared suffix after it are
+    normalized: B_n is a group, so p*x*s = p*y*s iff x = y.
     """
     if w1.strands != w2.strands:
         raise BraidError("cannot compare words with different strand counts")
-    return w1.letters == w2.letters or normal_form(w1) == normal_form(w2)
+    a, b = w1.letters, w2.letters
+    if a == b:
+        return True
+    m = min(len(a), len(b))
+    k = 0  # the shared prefix is a[:k]
+    while k < m and a[k] == b[k]:
+        k += 1
+    j = 0  # the shared suffix is a[len(a) - j:], after the prefix in both words
+    while j < m - k and a[-1 - j] == b[-1 - j]:
+        j += 1
+    n = w1.strands
+    return normal_form(_word(n, a[k:len(a) - j])) == normal_form(_word(n, b[k:len(b) - j]))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

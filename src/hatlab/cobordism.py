@@ -6,12 +6,13 @@ script keeps a ledger of the attached bands and the induced
 Euler-characteristic / self-linking / genus accounting.
 
 Moves are applied to the literal letter sequence; nothing is simplified
-implicitly.  An ``eq`` step is certified against the Garside
-normal form and replay fails loudly on an uncertifiable step, so a script
-that replays is a proof of every equality it uses.  Each identity is
-certified once, when its script is replayed: ``to_torus_script`` neither
-checks its combing nor replays its script, so the caller's replay is the
-one certification of every step.
+implicitly.  An ``eq`` step is certified against the Garside normal form
+of the letters between the two words' shared ends (``equal``; p*x*s =
+p*y*s iff x = y in a group), and replay fails loudly on an uncertifiable
+step, so a script that replays is a proof of every equality it uses.
+Each identity is certified once, when its script is replayed:
+``to_torus_script`` neither checks its combing nor replays its script, so
+the caller's replay is the one certification of every step.
 
 Replay records the closure's component count, the number of cycles of the
 word's permutation, after every move.  ``conj`` and ``cyc`` conjugate the

@@ -259,8 +259,14 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     """
     if p < 2:
         raise SearchError("need p >= 2")
-    if blowups < 0 or genus < 0 or a_min < 0 or a_max < a_min:
-        raise SearchError("bad search parameters")
+    if blowups < 0:
+        raise SearchError(f"blowups must be >= 0, got {blowups}")
+    if genus < 0:
+        raise SearchError(f"genus must be >= 0, got {genus}")
+    if a_min < 0:
+        raise SearchError(f"a_min must be >= 0, got {a_min}")
+    if a_max < a_min:
+        raise SearchError(f"a_min {a_min} > a_max {a_max}")
     # T(p,p+1)#T(2,3), the link of the two cusps, has maximal slk p^2 - p + 1
     slk = p * p - p + 1
     # a rational cuspidal curve with a simple cusp has self-intersection at

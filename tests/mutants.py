@@ -7,7 +7,9 @@ entry's test module against that copy with ``pytest -x``, and requires the run
 to fail.  An old text that does not occur exactly once fails the gate, so an
 entry cannot silently stop applying after the code around it changes.  Each
 test module is first run once against an unmutated copy, which must pass, so
-that a mutant is not counted as killed by a failure it did not cause.
+that a mutant is not counted as killed by a failure it did not cause.  A run
+that has not finished after ``TIMEOUT_S`` seconds is stopped and counts as
+failed, so a mutant that makes the code loop forever is killed, not waited on.
 
 A mutant that survives needs a test that kills it; it is never dropped.  The
 exit status is 0 when every mutant is killed and 1 otherwise.
@@ -23,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60  # the longest module takes about 5 s against the unmutated copy
 
 # (file under src/hatlab/, exact old text, new text, test module under tests/)
 MUTANTS = [
@@ -32,7 +35,13 @@ MUTANTS = [
     ("braid.py", "power = -sum(1 for g in letters if g < 0)",
      "power = sum(1 for g in letters if g < 0)", "test_braid.py"),
     # _fix_pair: after a slide the scan moves on instead of stepping back
-    ("braid.py", "i = max(i - 1, 1)", "i += 1", "test_braid.py"),
+    ("braid.py", "i = i - 1 if i > 1 else 1", "i += 1", "test_braid.py"),
+    # _fix_pair: the step back reaches index 0, which compares the last entry with the first
+    ("braid.py", "i = i - 1 if i > 1 else 1", "i = i - 1 if i > 0 else 1", "test_braid.py"),
+    # equal: the shared suffix may reuse the last letter of the shared prefix
+    ("braid.py", "while j < m - k and", "while j <= m - k and", "test_braid.py"),
+    # equal: the shared prefix scan reads past the end of the shorter word
+    ("braid.py", "while k < m and", "while k <= m and", "test_braid.py"),
     # _fix_pair: a letter that starts b slides even when a already finishes with it
     ("braid.py", "if b[i - 1] > b[i] and pos[i - 1] < pos[i]:", "if b[i - 1] > b[i]:",
      "test_braid.py"),
@@ -163,7 +172,8 @@ def _copy_src(tmp: str) -> Path:
     return dst
 
 
-def _run_tests(src: Path, module: str, tmp: str) -> int:
+def _run_tests(src: Path, module: str, tmp: str) -> int | None:
+    """The test run's exit code, or None when it is stopped at ``TIMEOUT_S``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     # the copy, not an installed hatlab, must be the one the tests import
     where = subprocess.run([sys.executable, "-c", "import hatlab; print(hatlab.__file__)"],
@@ -172,8 +182,11 @@ def _run_tests(src: Path, module: str, tmp: str) -> int:
         sys.exit(f"mutants: hatlab imported from {where.stdout.strip()}, not {src}")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            str(ROOT / "tests" / module)]
-    return subprocess.run(cmd, env=env, cwd=tmp, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(cmd, env=env, cwd=tmp, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -193,8 +206,10 @@ def main() -> int:
                 bad += 1
                 continue
             path.write_text(text.replace(old, new), encoding="utf-8")
-            killed = _run_tests(src, module, tmp) != 0
-        print(f"{'killed' if killed else 'SURVIVED'}\t{k}\t{file}\t{module}\t{new!r}")
+            code = _run_tests(src, module, tmp)
+        killed = code != 0
+        verdict = "SURVIVED" if not killed else "killed" if code is not None else "timed out"
+        print(f"{verdict}\t{k}\t{file}\t{module}\t{new!r}")
         bad += not killed
     print(f"{len(MUTANTS)} mutants, {bad} problems")
     return 1 if bad else 0

@@ -454,6 +454,60 @@ def test_equal_answers_identical_letters_without_a_normal_form(monkeypatch):
     assert len(calls) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_equal_cancels_shared_ends(n, data):
+    # B_n is a group, so p*x*s = p*y*s exactly when x = y
+    p, x, y, s = (data.draw(_letters(n)) for _ in range(4))
+    assert equal(BraidWord(n, p + x + s), BraidWord(n, p + y + s)) == equal(
+        BraidWord(n, x), BraidWord(n, y))
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ("xy", "xyxy", False),  # the first word is all prefix; its suffix is empty
+    ("x", "xx", False),  # the suffix scan must not reuse the prefix's letter
+    ("xyxy", "xyx", False),
+    ("xyZx", "xyZyYx", True),  # a free pair inserted between shared ends
+    ("yZX", "xXyZX", True),  # and at the front
+    ("yZX", "yZXzZ", True),  # and at the back
+])
+def test_equal_on_overlapping_ends(a, b, same):
+    u, v = parse_braid(a, 4), parse_braid(b, 4)
+    assert equal(u, v) == equal(v, u) == artin_equal(u, v) == same
+
+
+def test_equal_normalizes_only_the_letters_between_shared_ends(monkeypatch):
+    calls = []
+    real = braid.normal_form
+    monkeypatch.setattr(braid, "normal_form", lambda w: calls.append(w.letters) or real(w))
+    for a, b, middles, same in [
+        ("x^50yxyx^50", "x^50xyxx^50", [(2, 1, 2), (1, 2, 1)], True),
+        ("x^50yxyx^50", "x^50yyxx^50", [(1, 2), (2, 1)], False),
+        ("xyxYz", "xyXyz", [(1, -2), (-1, 2)], False),
+        ("xy", "xyxy", [(), (1, 2)], False),
+        ("x", "xx", [(), (1,)], False),
+    ]:
+        calls.clear()
+        assert equal(parse_braid(a, 4), parse_braid(b, 4)) == same
+        assert calls == middles, (a, b)
+
+
+def test_equal_with_shared_ends_agrees_with_artin_action():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        p, s = (_mixed_word(rng, n, rng.randint(0, 12)).letters for _ in range(2))
+        x = _mixed_word(rng, n, rng.randint(0, 8))
+        for y in [_random_rewrite(x, rng), _mixed_word(rng, n, len(x))] + \
+                _same_invariant_spoilers(x, rng):
+            u, v = BraidWord(n, p + x.letters + s), BraidWord(n, p + y.letters + s)
+            same = artin_equal(u, v)
+            assert equal(u, v) == same, (u, v)
+            outcomes[same] += 1
+    assert min(outcomes.values()) > 100
+
+
 def _left_weighted(a, b):
     # Every sigma_i that starts b (b puts a larger value at i-1 than at i)
     # also finishes a (a puts the value i before the value i-1).
