@@ -25,11 +25,10 @@ The bounds code never hard-codes a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
-from . import HatlabError
+from . import HatlabError, Record
 
 
 class BoundsError(HatlabError):
@@ -169,13 +168,8 @@ def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
 REPORT_DEGREES = 6
 
 
-@dataclass(frozen=True)
-class HatBoundReport:
-    slk: int
-    slice_genus: Optional[int]
-    degree_lb: int
-    genus_lb: int
-    genus_by_degree: dict[int, int]
+class HatBoundReport(Record):
+    __slots__ = ("slk", "slice_genus", "degree_lb", "genus_lb", "genus_by_degree")
 
 
 def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport:

@@ -55,9 +55,8 @@ letters and ``_cycle`` alone walks a cycle, for this module and ``cobordism``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from . import HatlabError
+from . import HatlabError, Record
 
 
 class BraidError(HatlabError):
@@ -77,28 +76,25 @@ def _check_max_strands(strands: int) -> None:
         raise BraidError(f"strand count must be <= {MAX_STRANDS}, got {strands}")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in B_n: a strand count plus a sequence of signed letters.
 
     The empty sequence is the identity braid.  Instances are immutable and
     hashable; all operations return new words.
     """
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise BraidError(f"strand count must be >= 1, got {self.strands}")
-        _check_max_strands(self.strands)
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        for g in self.letters:
-            if g == 0 or abs(g) >= self.strands:
-                raise BraidError(
-                    f"letter {g} out of range for {self.strands} strands"
-                )
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        if strands < 1:
+            raise BraidError(f"strand count must be >= 1, got {strands}")
+        _check_max_strands(strands)
+        letters = tuple(letters)
+        for g in letters:
+            if g == 0 or abs(g) >= strands:
+                raise BraidError(f"letter {g} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -371,8 +367,7 @@ def full_twist(n: int) -> BraidWord:
 # Garside normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Left Garside normal form Delta^power A_1 ... A_m.
 
     Factors are permutation braids stored as 0-based image tuples.  Normal
@@ -380,9 +375,12 @@ class NormalForm:
     identical, so instances double as dictionary keys for braid elements.
     """
 
-    strands: int
-    power: int
-    factors: tuple[tuple[int, ...], ...]
+    __slots__ = ("strands", "power", "factors")
+
+    def __init__(self, strands: int, power: int, factors: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "factors", factors)
 
 
 def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):

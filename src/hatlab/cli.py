@@ -17,7 +17,9 @@ where it prints JSON).  So ``eq`` and ``slk`` load ``braid`` alone,
 ``bounds`` and ``t2-table`` load ``bounds``, ``search`` loads ``curves`` and
 the ``bounds`` it reads (no ``json`` unless it prints JSON),
 ``run-script`` loads ``braid`` and ``cobordism``, and ``verify-corpus``
-loads ``braid``, ``cobordism``, ``corpus`` and ``db``.
+loads ``braid``, ``cobordism``, ``corpus`` and ``db``.  No hatlab module
+imports ``dataclasses``, whose import loads ``inspect`` and whose decorator
+compiles code for each class: value classes derive from ``hatlab.Record``.
 """
 
 from __future__ import annotations

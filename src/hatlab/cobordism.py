@@ -65,10 +65,9 @@ other malformed line raises ScriptError with its line number.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
-from . import HatlabError, read_int
+from . import HatlabError, Record, read_int
 from .braid import (
     BraidError,
     BraidWord,
@@ -98,14 +97,15 @@ class ScriptError(HatlabError):
     """A script line is malformed, or a move failed to apply or certify during replay."""
 
 
-@dataclass(frozen=True)
-class MoveScript:
-    start: BraidWord
-    moves: tuple[tuple, ...] = ()
+class MoveScript(Record):
+    __slots__ = ("start", "moves")
+
+    def __init__(self, start: BraidWord, moves: tuple[tuple, ...] = ()):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "moves", moves)
 
 
-@dataclass(frozen=True)
-class CobordismLedger:
+class CobordismLedger(Record):
     """Band and self-linking bookkeeping for one replayed script.
 
     ``bands`` counts inserted single positive generators (a crossing change
@@ -116,20 +116,23 @@ class CobordismLedger:
     and the cobordism genus is ``bands/2``.
     """
 
-    crossing_changes: int
-    insertions: int
-    negative_stabilizations: int
-    slk_start: Optional[int]
-    slk_end: Optional[int]
-    component_trace: list[int]
+    __slots__ = ("crossing_changes", "insertions", "negative_stabilizations",
+                 "slk_start", "slk_end", "component_trace")
 
-    def __post_init__(self):
-        if self.slk_start is not None and self.slk_end is not None:
+    def __init__(self, crossing_changes: int, insertions: int, negative_stabilizations: int,
+                 slk_start: Optional[int], slk_end: Optional[int], component_trace: list[int]):
+        object.__setattr__(self, "crossing_changes", crossing_changes)
+        object.__setattr__(self, "insertions", insertions)
+        object.__setattr__(self, "negative_stabilizations", negative_stabilizations)
+        object.__setattr__(self, "slk_start", slk_start)
+        object.__setattr__(self, "slk_end", slk_end)
+        object.__setattr__(self, "component_trace", component_trace)
+        if slk_start is not None and slk_end is not None:
             expect = self.bands - 2 * self.negative_stabilizations
-            if self.slk_end - self.slk_start != expect:
+            if slk_end - slk_start != expect:
                 raise ScriptError(
                     "ledger mismatch: slk delta "
-                    f"{self.slk_end - self.slk_start} != bands {expect}"
+                    f"{slk_end - slk_start} != bands {expect}"
                 )
 
     @property

@@ -9,30 +9,34 @@ or, when the replay failed, why.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+from . import Record
 from .braid import BraidError, BraidWord, equal
 from .cobordism import CobordismLedger, MoveScript, ScriptError, read_script, run_script
 from .db import KnotRecord, load_db
 
 
-@dataclass(frozen=True)
-class ScriptResult:
-    name: str
-    detail: str = ""  # why the replay failed; empty when it passed
-    end: Optional[BraidWord] = None
-    ledger: Optional[CobordismLedger] = None
+class ScriptResult(Record):
+    """One replay: its end word and ledger, or in ``detail`` why it failed."""
+
+    __slots__ = ("name", "detail", "end", "ledger")
+
+    def __init__(self, name: str, detail: str = "", end: Optional[BraidWord] = None,
+                 ledger: Optional[CobordismLedger] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "ledger", ledger)
 
     @property
     def ok(self) -> bool:
         return self.ledger is not None
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    results: tuple[ScriptResult, ...]
+class CorpusReport(Record):
+    __slots__ = ("results",)  # tuple[ScriptResult, ...]
 
     @property
     def ok(self) -> bool:

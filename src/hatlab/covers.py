@@ -14,10 +14,9 @@ Seifert matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from . import HatlabError
+from . import HatlabError, Record
 from .bounds import load_witnesses, plane_curve_genus
 
 
@@ -101,12 +100,8 @@ def form_label(rank: int, signature: int) -> str:
     return "+".join(f"{'' if n == 1 else n}{name}" for n, name in ((e8, "E8"), (h, "H")) if n)
 
 
-@dataclass(frozen=True)
-class DoubleCoverBooks:
-    b2_filling: int
-    b2_cap: int
-    sigma_cap: int
-    form: str
+class DoubleCoverBooks(Record):
+    __slots__ = ("b2_filling", "b2_cap", "sigma_cap", "form")
 
 
 def double_cover_books(g_s: int, sigma_filling: int) -> DoubleCoverBooks:

@@ -18,51 +18,33 @@ The walk starts at the least degree whose hat genus reaches the genus,
 from ``bounds.triangular_lb``, so every degree walked visits a node and
 ``NODE_CAP`` bounds the whole search.
 
-A search can emit a quarter of a million classes, so the objects are kept
-small: each solution is one slotted :class:`Annotated` record, the one type
-of a class in this module, that holds ``a`` and the walk's tuple ``b``
-inline, and the five positivity booleans are shared, one
-:class:`GromovDetail` per combination.  The walk's tuples are already
-canonical, so no tuple is re-sorted.  The enumeration walks one shared
-prefix list and emits the solutions already in output order; nothing is
-sorted afterwards.  Its last level tests each leaf ``b_N(b_N - 1) ==
-budget`` in a loop rather than one call per leaf.  The walk meets the same
-subproblem many times (at (8,8,0..40), 728,769 calls but 10,480 distinct
-``(n, hi, budget)``), so the subtree of its last three entries after a
-prefix is walked once per search and its tails are reused; ``nodes`` still
-counts the whole enumeration tree, each reused subtree in full.  At
-(8,8,0..40), reusing tails of 2, 3 and 4 entries took the walk from 0.57 s
-to 0.34, 0.20 and 0.14 s and the search's traced peak from 43.8 MB to 44.0,
-44.3 and 45.5 MB (min of 9 runs, Python 3.11, shared 2-core Linux box).
-Each emitted class is annotated in one pass: its coefficients are summed once
-(``sum b_i`` and ``sum b_i^2``) for adjunction and the cap, and the
-positivity flags sort only the five largest entries with the two sentinels.
-Those flags depend only on ``a`` and ``b[:5]``, and a degree's tuples come
-out lexicographically descending, so tuples with equal leading entries are
-adjacent: the flags are computed once per such run (at (8,8,0..40), 96,534
-times for 247,398 solutions), with no table that grows with the search.
-A class passes when ``all_permuted`` holds, which implies the other four
-flags: the two (five) largest of b and the sentinels sum to at least any
-other two (five) of them.
+Each solution is one slotted :class:`Annotated` record that holds ``a``
+and the walk's tuple ``b``; the five positivity flags are shared, one
+:class:`GromovDetail` per combination.  The walk emits each degree's tuples
+non-increasing and lexicographically descending, so the solutions come out
+in output order and nothing is sorted.  The subtree of the last three
+entries after a prefix is walked once per search and its tails are reused;
+``nodes`` still counts the whole enumeration tree, each reused subtree in
+full, so ``nodes`` and ``NODE_CAP`` are those of the plain walk.  The flags
+depend only on ``a`` and ``b[:5]``, so they are computed once per run of
+tuples with equal leading entries.  A class passes when ``all_permuted``
+holds, which implies the other four flags.
 
-The records a search builds hold no reference cycles, so the cyclic garbage
-collector has nothing to free among them; left running, its full passes
-re-scan every record built so far (40 full passes, freeing nothing, over
-four rounds of the benchmark's ladder and capped searches).  ``search``
-pauses it while it walks and builds records, and restores it on the way
-out, error or not, only if it was running on entry.  The pause is
-process-wide; hatlab is single-threaded.
+The records hold no reference cycles, so ``search`` pauses the cyclic
+garbage collector while it walks and builds them, and restores it on the
+way out, error or not, only if it was running on entry.  The pause is
+process-wide; hatlab is single-threaded.  README gives the measurements
+behind these choices.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 from operator import mul
 
-from . import HatlabError
+from . import HatlabError, Record
 from .bounds import hat_genus_at_degree, triangular_lb
 
 
@@ -70,13 +52,14 @@ class SearchError(HatlabError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class GromovDetail:
-    line_with_cusp: bool     # a >= b_1 + p
-    line_two_points: bool    # a >= b_1 + b_2
-    conic_with_cusp: bool    # 2a >= b_1 + b_2 + b_3 + b_4 + p
-    conic_five_points: bool  # 2a >= b_1 + ... + b_5
-    all_permuted: bool       # with sentinels appended and re-sorted
+class GromovDetail(Record):
+    __slots__ = (
+        "line_with_cusp",     # a >= b_1 + p
+        "line_two_points",    # a >= b_1 + b_2
+        "conic_with_cusp",    # 2a >= b_1 + b_2 + b_3 + b_4 + p
+        "conic_five_points",  # 2a >= b_1 + ... + b_5
+        "all_permuted",       # with sentinels appended and re-sorted
+    )
 
     @property
     def passes(self) -> bool:
@@ -113,15 +96,17 @@ def _shared_detail(*flags: bool) -> GromovDetail:
     return GromovDetail(*flags)
 
 
-@dataclass(frozen=True, slots=True)
-class Annotated:
+class Annotated(Record):
     """One search solution: the class (a; b) held inline, with ``b`` as the
     walk emits it (non-increasing), and its annotations."""
 
-    a: int
-    b: tuple[int, ...]
-    gromov: GromovDetail
-    ohta_ono: bool
+    __slots__ = ("a", "b", "gromov", "ohta_ono")
+
+    def __init__(self, a: int, b: tuple[int, ...], gromov: GromovDetail, ohta_ono: bool):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "gromov", gromov)
+        object.__setattr__(self, "ohta_ono", ohta_ono)
 
     @property
     def self_intersection(self) -> int:
@@ -137,15 +122,9 @@ class Annotated:
         return self.gromov.passes and self.ohta_ono
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    p: int
-    blowups: int
-    genus: int
-    a_min: int
-    a_max: int
-    solutions: tuple[Annotated, ...]
-    nodes: int  # enumeration nodes visited
+class SearchReport(Record):
+    # nodes counts the enumeration nodes visited
+    __slots__ = ("p", "blowups", "genus", "a_min", "a_max", "solutions", "nodes")
 
     @property
     def surviving(self) -> list[Annotated]:
@@ -153,7 +132,7 @@ class SearchReport:
 
 
 # Entries at the end of the walk whose subtrees are walked once per search;
-# the module docstring gives the time and memory of 2, 3 and 4.
+# README gives the time and memory of 2, 3 and 4.
 _TAIL = 3
 
 
@@ -258,7 +237,7 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     process-wide, which is safe as hatlab runs one thread.
     """
     if p < 2:
-        raise SearchError("need p >= 2")
+        raise SearchError(f"p must be >= 2, got {p}")
     if blowups < 0:
         raise SearchError(f"blowups must be >= 0, got {blowups}")
     if genus < 0:

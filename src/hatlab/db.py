@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from . import HatlabError
+from . import HatlabError, Record
 from .braid import BraidError, BraidWord, closure_components, parse_braid, self_linking
 
 
@@ -31,15 +30,20 @@ class DatabaseError(HatlabError):
     pass
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    name: str
-    braid: BraidWord
-    slice_genus: int
-    determinant_one: bool
-    script_ref: Optional[str] = None   # file name under data/scripts/
-    target: Optional[tuple[str, int]] = None  # (torus/singularity label, hat degree)
-    note: str = ""
+class KnotRecord(Record):
+    __slots__ = ("name", "braid", "slice_genus", "determinant_one", "script_ref", "target", "note")
+
+    def __init__(self, name: str, braid: BraidWord, slice_genus: int, determinant_one: bool,
+                 script_ref: Optional[str] = None,  # file name under data/scripts/
+                 target: Optional[tuple[str, int]] = None,  # (torus/singularity label, hat degree)
+                 note: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "slice_genus", slice_genus)
+        object.__setattr__(self, "determinant_one", determinant_one)
+        object.__setattr__(self, "script_ref", script_ref)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "note", note)
 
     @property
     def slk(self) -> int:

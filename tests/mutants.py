@@ -163,6 +163,18 @@ MUTANTS = [
     ("curves.py", "b4, p, 2), reverse=True)", "b4, p, 0), reverse=True)", "test_curves.py"),
     # _gromov: the sentinel p is dropped from the sorted entries
     ("curves.py", "b4, p, 2), reverse=True)", "b4, 0, 2), reverse=True)", "test_curves.py"),
+    # Record.__eq__: records of different classes with equal fields are equal
+    ("__init__.py", "        if other.__class__ is not self.__class__:\n"
+     "            return NotImplemented\n", "", "test_records.py"),
+    # Record.__setattr__: a field is assigned instead of refused
+    ("__init__.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)", "test_records.py"),
+    # Record: equality and hashing leave out the last field
+    ("__init__.py", "for name in self.__slots__])", "for name in self.__slots__[:-1]])",
+     "test_records.py"),
+    # BraidWord: construction does not check the letters
+    ("braid.py", "        for g in letters:\n            if g == 0 or abs(g) >= strands:",
+     "        for g in ():\n            if g == 0 or abs(g) >= strands:", "test_braid.py"),
 ]
 
 

@@ -3,7 +3,6 @@
 import gc
 import random
 import tracemalloc
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,7 +143,7 @@ def test_search_annotations_match_the_formulas():
         for s in r.solutions:
             # the walk's tuples are canonical: sorting changes nothing
             assert s.b == tuple(sorted(s.b, reverse=True))
-            assert astuple(s.gromov) == gromov_flags(r.p, s.a, s.b)
+            assert s.gromov._values() == gromov_flags(r.p, s.a, s.b)
             self_int = s.a * s.a - sum(x * x for x in s.b)
             assert s.self_intersection == self_int
             assert s.ohta_ono == (self_int <= r.p * r.p + 9)
@@ -161,7 +160,7 @@ def test_gromov_matches_the_formulas_on_any_class(p, a, b):
     # any length, N < 5 included, and entries above p; entries up to half
     # the largest a keep each sum near its bound 2a
     b = tuple(sorted(b, reverse=True))
-    assert astuple(curves._gromov(p, a, b)) == gromov_flags(p, a, b)
+    assert curves._gromov(p, a, b)._values() == gromov_flags(p, a, b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -184,7 +183,7 @@ def test_search_solutions_reverify():
     assert rep.solutions
     for s in rep.solutions:
         assert class_genus(s.a, s.b, 5 * 4 // 2 + 1) == 0
-        assert astuple(s.gromov) == gromov_flags(5, s.a, s.b)
+        assert s.gromov._values() == gromov_flags(5, s.a, s.b)
         assert s.ohta_ono == (s.self_intersection <= 5 * 5 + 9)
 
 
@@ -220,7 +219,7 @@ def test_search_rejects_negative_parameters():
                                  ((3, -2, -1, -3), -1, r"^blowups must be >= 0, got -2$")]:
         with pytest.raises(SearchError, match=message):
             search(*args, genus=genus)
-    with pytest.raises(SearchError, match=r"^need p >= 2$"):
+    with pytest.raises(SearchError, match=r"^p must be >= 2, got 1$"):
         search(1, 1, 0, 6)
 
 

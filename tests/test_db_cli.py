@@ -287,7 +287,7 @@ def test_reproduce_cover_books_output(capsys):
      "letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
     (["bounds", "--slk", "10"], "self-linking numbers of knots are odd"),  # BoundsError
     (["search", "--p", "1", "--blowups", "1", "--amin", "0", "--amax", "5"],
-     "need p >= 2"),  # SearchError
+     "p must be >= 2, got 1"),  # SearchError
     (["run-script", "{latin1}"],  # ScriptError
      "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
     (["slk", "x^²", "--strands", "3"], "malformed power at column 1 in 'x^²'"),
