@@ -6,6 +6,9 @@ Import what you use from the submodules (``hatlab.braid``,
 them, so each ``hatlab`` command loads only the modules it runs.
 """
 
+import os
+from operator import attrgetter
+
 __version__ = "0.1.0"
 
 
@@ -28,6 +31,13 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # attrgetter of one name returns the value, not a tuple
+            get = lambda record, one=get: (one(record),)
+        cls._get = staticmethod(get)  # a record of this class -> its field tuple
+
     def __init__(self, *args, **kwargs):
         names = self.__slots__
         values = dict(zip(names, args), **kwargs)
@@ -38,18 +48,19 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return self._get(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        get = self._get
+        return get(self) == get(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._get(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._get(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -60,7 +71,7 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: their default sets each slot with setattr
-        return self.__class__, self._values()
+        return self.__class__, self._get(self)
 
 
 def read_int(text: str) -> int:
@@ -73,3 +84,19 @@ def read_int(text: str) -> int:
         return int(text)
     except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
         raise HatlabError(f"integer of {len(text)} characters is too long to read") from None
+
+
+def read_data(*parts: str) -> bytes:
+    """The bytes of the package file ``data/<parts>``, read from beside this
+    module: hatlab's one way to find its data."""
+    with open(os.path.join(os.path.dirname(__file__), "data", *parts), "rb") as fh:
+        return fh.read()
+
+
+def decode(data: bytes, source: str, error: type[HatlabError]) -> str:
+    """``data`` decoded as UTF-8; bytes that are not UTF-8 raise ``error``
+    naming ``source`` and their offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{source}: not UTF-8 at byte {e.start}: {e.reason}") from e

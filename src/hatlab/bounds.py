@@ -26,9 +26,8 @@ The bounds code never hard-codes a witness.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Optional
 
-from . import HatlabError, Record
+from . import HatlabError, Record, read_data
 
 
 class BoundsError(HatlabError):
@@ -127,14 +126,11 @@ def singular_genus_budget(d: int, sing_genera: list[int]) -> int:
 def load_witnesses() -> dict[str, list]:
     """The sections of ``data/witnesses.json`` as their JSON rows, read anew on each call."""
     import json  # here, not at the top: a search imports this module and reads no JSON
-    from importlib import resources
 
-    return json.loads(
-        resources.files("hatlab").joinpath("data", "witnesses.json").read_text(encoding="utf-8")
-    )
+    return json.loads(read_data("witnesses.json"))
 
 
-def t2_table(k_max: int) -> list[tuple[int, int, Optional[int], Optional[int]]]:
+def t2_table(k_max: int) -> list[tuple[int, int, int | None, int | None]]:
     """Rows ``(k, lower_bound, witness_genus, value)`` for the maximal-slk
     T(2,2k+1), k = 1..k_max, for 1 <= k_max <= ``T2_KMAX``.
 
@@ -172,7 +168,7 @@ class HatBoundReport(Record):
     __slots__ = ("slk", "slice_genus", "degree_lb", "genus_lb", "genus_by_degree")
 
 
-def bounds_report(slk: int, slice_genus: Optional[int] = None) -> HatBoundReport:
+def bounds_report(slk: int, slice_genus: int | None = None) -> HatBoundReport:
     """Per-knot hat bounds from slk (and slice genus when quasipositive).
 
     The slice genus defaults to (slk+1)/2 when slk >= -1; one below that is an error.

@@ -99,9 +99,6 @@ class BraidWord(Record):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return braid_text(self)
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
             return NotImplemented

@@ -20,6 +20,9 @@ the ``bounds`` it reads (no ``json`` unless it prints JSON),
 loads ``braid``, ``cobordism``, ``corpus`` and ``db``.  No hatlab module
 imports ``dataclasses``, whose import loads ``inspect`` and whose decorator
 compiles code for each class: value classes derive from ``hatlab.Record``.
+Nor does one import ``typing``, for annotations are ``X | None``, or
+``importlib.resources``, which loads ``pathlib`` and ``zipfile``: package
+data is read by ``hatlab.read_data``.
 """
 
 from __future__ import annotations

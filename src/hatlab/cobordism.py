@@ -65,9 +65,8 @@ other malformed line raises ScriptError with its line number.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
-from . import HatlabError, Record, read_int
+from . import HatlabError, Record, decode, read_int
 from .braid import (
     BraidError,
     BraidWord,
@@ -120,7 +119,7 @@ class CobordismLedger(Record):
                  "slk_start", "slk_end", "component_trace")
 
     def __init__(self, crossing_changes: int, insertions: int, negative_stabilizations: int,
-                 slk_start: Optional[int], slk_end: Optional[int], component_trace: list[int]):
+                 slk_start: int | None, slk_end: int | None, component_trace: list[int]):
         object.__setattr__(self, "crossing_changes", crossing_changes)
         object.__setattr__(self, "insertions", insertions)
         object.__setattr__(self, "negative_stabilizations", negative_stabilizations)
@@ -148,7 +147,7 @@ class CobordismLedger(Record):
         return self.negative_stabilizations > 0
 
     @property
-    def genus(self) -> Optional[int]:
+    def genus(self) -> int | None:
         if self.slk_start is None or self.slk_end is None:
             return None
         return self.bands // 2
@@ -317,11 +316,7 @@ def parse_script(text: str) -> MoveScript:
 def read_script(data: bytes, source: str) -> MoveScript:
     """Parse a script file's bytes; bytes that are not UTF-8 raise ScriptError
     naming ``source`` and their offset."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ScriptError(f"{source}: not UTF-8 at byte {e.start}: {e.reason}") from e
-    return parse_script(text)
+    return parse_script(decode(data, source, ScriptError))
 
 
 # token -> the types of a well-formed move (token, *operands).  Replay checks
@@ -343,7 +338,7 @@ def _row(move) -> tuple:
     raise ScriptError(f"unknown move {move!r}")
 
 
-def _line(move, strands: Optional[int] = None) -> str:
+def _line(move, strands: int | None = None) -> str:
     """A move as its script line; ScriptError for anything ``_row`` rejects and,
     given the strand count at the line, for an operand its range check refuses."""
     kinds = _row(move)[0]

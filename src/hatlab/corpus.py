@@ -9,10 +9,7 @@ or, when the replay failed, why.
 
 from __future__ import annotations
 
-from importlib import resources
-from typing import Optional
-
-from . import Record
+from . import Record, read_data
 from .braid import BraidError, BraidWord, equal
 from .cobordism import CobordismLedger, MoveScript, ScriptError, read_script, run_script
 from .db import KnotRecord, load_db
@@ -23,8 +20,8 @@ class ScriptResult(Record):
 
     __slots__ = ("name", "detail", "end", "ledger")
 
-    def __init__(self, name: str, detail: str = "", end: Optional[BraidWord] = None,
-                 ledger: Optional[CobordismLedger] = None):
+    def __init__(self, name: str, detail: str = "", end: BraidWord | None = None,
+                 ledger: CobordismLedger | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "detail", detail)
         object.__setattr__(self, "end", end)
@@ -49,7 +46,7 @@ class CorpusReport(Record):
 
 def load_script(ref: str) -> MoveScript:
     """Parse ``data/scripts/<ref>``; ``load_db`` has checked that ref is a bare file name."""
-    return read_script(resources.files("hatlab").joinpath("data", "scripts", ref).read_bytes(), ref)
+    return read_script(read_data("scripts", ref), ref)
 
 
 def replay_record(rec: KnotRecord) -> ScriptResult:

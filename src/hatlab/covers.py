@@ -14,8 +14,6 @@ Seifert matrices.
 
 from __future__ import annotations
 
-from typing import Union
-
 from . import HatlabError, Record
 from .bounds import load_witnesses, plane_curve_genus
 
@@ -42,7 +40,7 @@ def bidegree_genus(a: int, b: int) -> int:
     return (a - 1) * (b - 1)
 
 
-Degree = Union[int, tuple[int, int]]
+Degree = int | tuple[int, int]
 
 
 def cy_cover_test(r: int, surface: str, degree: Degree) -> bool:

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
-from typing import Optional
 
-from . import HatlabError, Record
+from . import HatlabError, Record, decode, read_data
 from .braid import BraidError, BraidWord, closure_components, parse_braid, self_linking
 
 
@@ -34,8 +32,8 @@ class KnotRecord(Record):
     __slots__ = ("name", "braid", "slice_genus", "determinant_one", "script_ref", "target", "note")
 
     def __init__(self, name: str, braid: BraidWord, slice_genus: int, determinant_one: bool,
-                 script_ref: Optional[str] = None,  # file name under data/scripts/
-                 target: Optional[tuple[str, int]] = None,  # (torus/singularity label, hat degree)
+                 script_ref: str | None = None,  # file name under data/scripts/
+                 target: tuple[str, int] | None = None,  # (torus/singularity label, hat degree)
                  note: str = ""):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "braid", braid)
@@ -121,12 +119,9 @@ def load_db() -> list[KnotRecord]:
         with open(path, "rb") as fh:
             data = fh.read()
     else:
-        data = resources.files("hatlab").joinpath("data", "knots.json").read_bytes()
+        data = read_data("knots.json")
     source = path or "knots.json"
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DatabaseError(f"{source}: not UTF-8 at byte {e.start}: {e.reason}") from e
+    text = decode(data, source, DatabaseError)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:

@@ -85,6 +85,10 @@ MUTANTS = [
      "test_bounds.py"),
     # triangular_lb: the least degree is one too high whenever isqrt(8 g_s) is even
     ("bounds.py", "(isqrt(8 * g_s) + 5) // 2", "(isqrt(8 * g_s) + 6) // 2", "test_bounds.py"),
+    # hat_genus_at_degree: an even slk is not refused
+    ("bounds.py", "    smooth = plane_curve_genus(d)\n    if slk % 2 == 0:\n"
+     '        raise BoundsError("self-linking numbers of knots are odd")\n',
+     "    smooth = plane_curve_genus(d)\n", "test_bounds.py"),
     # _carry: a negative letter swaps the positions counted from the right
     ("braid.py", "for i in map(abs, letters):", "for i in letters:", "test_braid.py"),
     # _cycle: the walk stops one point short of closing the cycle
@@ -128,6 +132,8 @@ MUTANTS = [
     ("covers.py", "{'' if n == 1 else n}", "{n}", "test_covers.py"),
     # form_label: a rank and a signature of different parity are accepted
     ("covers.py", " or (rank - signature) % 2:", ":", "test_covers.py"),
+    # cover_line: a 5-fold cover is booked
+    ("covers.py", "if r not in (2, 3, 4):", "if r not in (2, 3, 4, 5):", "test_covers.py"),
     # search: the Ohta-Ono cap on the self-intersection is one too low
     ("curves.py", "self_int_cap = p * p + 9", "self_int_cap = p * p + 8", "test_curves.py"),
     # search: the slk of T(p,p+1)#T(2,3) is off by two
@@ -170,8 +176,14 @@ MUTANTS = [
     ("__init__.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
      "object.__setattr__(self, name, value)", "test_records.py"),
     # Record: equality and hashing leave out the last field
-    ("__init__.py", "for name in self.__slots__])", "for name in self.__slots__[:-1]])",
+    ("__init__.py", "get = attrgetter(*cls.__slots__)", "get = attrgetter(*cls.__slots__[:-1])",
      "test_records.py"),
+    # read_data: package files are looked for beside the package, not under its data/
+    ("__init__.py", 'os.path.dirname(__file__), "data", *parts', "os.path.dirname(__file__), *parts",
+     "test_corpus.py"),
+    # decode: bytes that are not UTF-8 raise the base HatlabError, not the caller's error
+    ("__init__.py", 'raise error(f"{source}: not UTF-8', 'raise HatlabError(f"{source}: not UTF-8',
+     "test_corpus.py"),
     # BraidWord: construction does not check the letters
     ("braid.py", "        for g in letters:\n            if g == 0 or abs(g) >= strands:",
      "        for g in ():\n            if g == 0 or abs(g) >= strands:", "test_braid.py"),

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hatlab import bounds as bounds_mod
 from hatlab.bounds import (
     T2_KMAX,
     BoundsError,
@@ -33,6 +34,29 @@ def test_hat_genus_at_degree_examples():
 def test_hat_genus_infeasible_degree():
     with pytest.raises(BoundsError):
         hat_genus_at_degree(19, 2)
+
+
+def test_hat_genus_at_degree_refuses_an_even_slk():
+    # bounds_report refuses an even slk first, so no command reaches this check
+    for slk, d in ((0, 6), (4, 6), (-2, 1)):
+        with pytest.raises(BoundsError, match=r"^self-linking numbers of knots are odd$"):
+            hat_genus_at_degree(slk, d)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (negative_torus_max_slk, (3, 3), "need 2 <= p < q"),
+    (negative_torus_max_slk, (1, 2), "need 2 <= p < q"),
+    (twist_knot_max_slk, (0,), "not a twist knot for n in {0, -1, -2}"),
+    (twist_knot_max_slk, (-1,), "not a twist knot for n in {0, -1, -2}"),
+    (twist_knot_max_slk, (-2,), "not a twist knot for n in {0, -1, -2}"),
+    (semigroup_lb, (3, 2), "need 2 <= p < q"),
+    (semigroup_lb, (1, 2), "need 2 <= p < q"),
+    (milnor_genus, (2, 4), "p and q must be coprime"),
+])
+def test_closed_forms_refuse_their_bad_arguments(fn, args, message):
+    with pytest.raises(BoundsError) as exc:
+        fn(*args)
+    assert str(exc.value) == message
 
 
 def test_torus_hat_genus_identity():
@@ -192,6 +216,15 @@ def test_t2_table_matches_recorded_row():
     assert [v for *_, v in rows] == [0, 1, 0, 2, 1, 0, 3, 2, 1, 5, 4]
     for _, lb, wg, _ in rows:
         assert wg == lb  # sharp through k = 11
+
+
+def test_t2_table_refuses_a_witness_below_its_bound(monkeypatch):
+    # a recorded hat of genus 0 at k = 1 against a recorded upgrade of the bound to 1
+    sections = {"t2_witnesses": [{"k": 1, "degree": 3}],
+                "t2_lower_bound_upgrades": [{"k": 1, "bound": 1}]}
+    monkeypatch.setattr(bounds_mod, "load_witnesses", lambda: sections)
+    with pytest.raises(BoundsError, match=r"^k=1: witness genus 0 below bound 1$"):
+        t2_table(1)
 
 
 def test_t2_table_witnesses_satisfy_relation():

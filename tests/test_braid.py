@@ -321,6 +321,15 @@ def test_strand_mismatch_raises():
         BraidWord(3, (1,)) * BraidWord(2, (1,))
 
 
+def test_a_word_multiplies_only_by_a_word():
+    w = BraidWord(3, (1,))
+    assert w.__mul__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        w * 3
+    with pytest.raises(TypeError):
+        3 * w
+
+
 @pytest.mark.parametrize("strands, letters, message", [
     (0, (), "strand count must be >= 1, got 0"),
     (3, (3,), "letter 3 out of range for 3 strands"),

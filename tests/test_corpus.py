@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import hatlab
 from hatlab.braid import braid_text, closure_components, equal, parse_braid
 from hatlab.cli import main
 from hatlab.corpus import load_script, replay_record, verify_corpus
@@ -109,7 +110,8 @@ def test_script_file_that_is_not_utf8_fails_with_its_offset(tmp_path, monkeypatc
     scripts = tmp_path / "data" / "scripts"
     scripts.mkdir(parents=True)
     (scripts / "latin1.txt").write_bytes(b"strands: 3\nstart: x\xe9\n")
-    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    # hatlab.read_data finds data/ beside the package's __file__
+    monkeypatch.setattr(hatlab, "__file__", str(tmp_path / "__init__.py"))
     result = replay_record(KnotRecord(rec.name, rec.braid, 0, False, "latin1.txt"))
     assert result.detail == "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"
 

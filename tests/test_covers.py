@@ -9,6 +9,7 @@ from hatlab.covers import (
     DoubleCoverBooks,
     bidegree_genus,
     branched_cover_euler,
+    cover_line,
     cy_cover_test,
     double_cover_books,
     form_label,
@@ -55,6 +56,19 @@ def test_cy_cover_examples():
     assert not cy_cover_test(2, "CP2", 4)   # canonical class does not vanish
     assert not cy_cover_test(2, "CP2", 8)
     assert not cy_cover_test(3, "P1xP1", (3, 6))
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (branched_cover_euler, (0, 3, 2), "need r >= 1"),
+    (bidegree_genus, (0, 3), "bidegree entries must be >= 1"),
+    (bidegree_genus, (3, 0), "bidegree entries must be >= 1"),
+    (cover_line, ("12n_242", 1, 1), "r must be 2, 3, or 4"),
+    (cover_line, ("12n_242", 1, 5), "r must be 2, 3, or 4"),
+])
+def test_bookkeeping_refuses_its_bad_arguments(fn, args, message):
+    with pytest.raises(CoverError) as exc:
+        fn(*args)
+    assert str(exc.value) == message
 
 
 def test_cy_cover_divisibility_error():

@@ -102,11 +102,21 @@ def test_record_reprs_print_every_field():
 
 
 def test_no_module_imports_dataclasses():
-    # dataclasses costs each command its import and a generated __init__ per class
-    code = ("import sys, hatlab.cli, hatlab.bounds, hatlab.braid, hatlab.cobordism, "
-            "hatlab.corpus, hatlab.covers, hatlab.curves, hatlab.db; "
-            "print('dataclasses' in sys.modules)")
+    # Each command starts a fresh interpreter, which pays for every module it imports:
+    # dataclasses (with inspect), typing and importlib.resources (with pathlib and
+    # zipfile) stay unloaded after importing every hatlab module and running the
+    # commands that read data files.  -S keeps site-packages hooks from loading them.
+    code = "\n".join([
+        "import io, sys",
+        "import hatlab.cli, hatlab.bounds, hatlab.braid, hatlab.cobordism, hatlab.corpus, "
+        "hatlab.covers, hatlab.curves, hatlab.db",
+        "stdout, sys.stdout = sys.stdout, io.StringIO()",
+        "codes = [hatlab.cli.main(argv) for argv in "
+        "(['verify-corpus'], ['reproduce', 'cover-books'], ['reproduce', 't2-table'])]",
+        "sys.stdout = stdout",
+        "print(codes, sorted({'dataclasses', 'typing', 'importlib.resources'} & sys.modules.keys()))",
+    ])
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hatlab.__file__))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[0, 0, 0] []\n")
