@@ -24,9 +24,9 @@ class Record:
     record hashes as the tuple of its fields and prints as
     ``Name(field=value, ...)``.  Fields cannot be assigned or deleted once
     ``__init__`` has set them with ``object.__setattr__``.  This ``__init__``
-    takes every field, by position or by name; a class with a default, a
-    check to run on construction, or many instances per operation defines
-    its own, since a generic ``__init__`` is slower to call.
+    takes every field, by position or by name, and has no defaults.  A class
+    defines its own only to check its fields, or because it is built once
+    per search solution, where this slower generic one would show.
     """
 
     __slots__ = ()

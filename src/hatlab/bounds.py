@@ -165,6 +165,7 @@ REPORT_DEGREES = 6
 
 
 class HatBoundReport(Record):
+    # genus_by_degree: (degree, hat genus) pairs in ascending degree, from degree_lb on
     __slots__ = ("slk", "slice_genus", "degree_lb", "genus_lb", "genus_by_degree")
 
 
@@ -188,5 +189,5 @@ def bounds_report(slk: int, slice_genus: int | None = None) -> HatBoundReport:
                               f"g_s >= (slk+1)/2 = {(slk + 1) // 2}")
     # The hat genus at a degree is fixed by slk and never falls as the degree
     # grows, so the least one is at degree_lb.
-    table = {d: hat_genus_at_degree(slk, d) for d in range(d0, d0 + REPORT_DEGREES)}
-    return HatBoundReport(slk, slice_genus, d0, table[d0], table)
+    table = tuple((d, hat_genus_at_degree(slk, d)) for d in range(d0, d0 + REPORT_DEGREES))
+    return HatBoundReport(slk, slice_genus, d0, table[0][1], table)

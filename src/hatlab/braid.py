@@ -286,7 +286,8 @@ def self_linking(w: BraidWord) -> int:
 def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
     """Return c * w * c^-1."""
     if w.strands != c.strands:
-        raise BraidError("conjugation requires equal strand counts")
+        raise BraidError("conjugation requires equal strand counts: "
+                         f"the word is in B_{w.strands}, the conjugator in B_{c.strands}")
     return _word(w.strands, c.letters + w.letters + inverse(c).letters)
 
 
@@ -373,11 +374,6 @@ class NormalForm(Record):
     """
 
     __slots__ = ("strands", "power", "factors")
-
-    def __init__(self, strands: int, power: int, factors: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "factors", factors)
 
 
 def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):

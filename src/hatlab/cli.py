@@ -102,8 +102,8 @@ def _cmd_bounds(args) -> int:
     print(f"slice_genus\t{rep.slice_genus if rep.slice_genus is not None else '?'}")
     print(f"degree_lb\t{rep.degree_lb}")
     print(f"genus_lb\t{rep.genus_lb}")
-    for d in sorted(rep.genus_by_degree):
-        print(f"genus_at_degree_{d}\t{rep.genus_by_degree[d]}")
+    for d, genus in rep.genus_by_degree:
+        print(f"genus_at_degree_{d}\t{genus}")
     return 0
 
 

@@ -97,11 +97,9 @@ class ScriptError(HatlabError):
 
 
 class MoveScript(Record):
-    __slots__ = ("start", "moves")
+    """A relative cobordism as moves: a start word and the move tuples replayed from it."""
 
-    def __init__(self, start: BraidWord, moves: tuple[tuple, ...] = ()):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "moves", moves)
+    __slots__ = ("start", "moves")
 
 
 class CobordismLedger(Record):
@@ -119,13 +117,14 @@ class CobordismLedger(Record):
                  "slk_start", "slk_end", "component_trace")
 
     def __init__(self, crossing_changes: int, insertions: int, negative_stabilizations: int,
-                 slk_start: int | None, slk_end: int | None, component_trace: list[int]):
+                 slk_start: int | None, slk_end: int | None,
+                 component_trace: list[int] | tuple[int, ...]):
         object.__setattr__(self, "crossing_changes", crossing_changes)
         object.__setattr__(self, "insertions", insertions)
         object.__setattr__(self, "negative_stabilizations", negative_stabilizations)
         object.__setattr__(self, "slk_start", slk_start)
         object.__setattr__(self, "slk_end", slk_end)
-        object.__setattr__(self, "component_trace", component_trace)
+        object.__setattr__(self, "component_trace", tuple(component_trace))
         if slk_start is not None and slk_end is not None:
             expect = self.bands - 2 * self.negative_stabilizations
             if slk_end - slk_start != expect:
@@ -174,8 +173,7 @@ def run_script(script: MoveScript) -> tuple[BraidWord, CobordismLedger]:
         try:
             after = apply_move(w, move)
         except (ScriptError, BraidError) as e:
-            raise ScriptError(f"step {step} ({_move_text(move)}): {e}"
-                              f"{_strands_note(move, w.strands)}") from e
+            raise ScriptError(f"step {step} ({_move_text(move)}): {e}") from e
         if move[0] != "ins":
             perm = None
             trace.append(trace[-1])
@@ -252,7 +250,7 @@ def _crossing_change(w: BraidWord, position: int, index: int) -> BraidWord:
 
 def _rewrite(w: BraidWord, target: BraidWord) -> BraidWord:
     if target.strands != w.strands:
-        raise ScriptError("rewrite target has wrong strand count")
+        raise ScriptError(f"rewrite target is in B_{target.strands}, the word in B_{w.strands}")
     if not equal(w, target):
         raise ScriptError(f"uncertifiable rewrite: {braid_text(w)} != {braid_text(target)}")
     return target
@@ -356,15 +354,6 @@ def _move_text(move) -> str:
         return _line(move)
     except ScriptError:
         return repr(move)
-
-
-def _strands_note(move, strands: int) -> str:
-    """For a word operand in another strand count than ``strands``, a note
-    naming both counts; the operand's script line does not show its own."""
-    for i, v in enumerate(move[1:] if type(move) is tuple else (), 1):
-        if type(v) is BraidWord and v.strands != strands:
-            return f" (operand {i} is in B_{v.strands}, the word in B_{strands})"
-    return ""
 
 
 def serialize_script(script: MoveScript) -> str:

@@ -10,8 +10,8 @@ or, when the replay failed, why.
 from __future__ import annotations
 
 from . import Record, read_data
-from .braid import BraidError, BraidWord, equal
-from .cobordism import CobordismLedger, MoveScript, ScriptError, read_script, run_script
+from .braid import BraidError, equal
+from .cobordism import MoveScript, ScriptError, read_script, run_script
 from .db import KnotRecord, load_db
 
 
@@ -19,13 +19,6 @@ class ScriptResult(Record):
     """One replay: its end word and ledger, or in ``detail`` why it failed."""
 
     __slots__ = ("name", "detail", "end", "ledger")
-
-    def __init__(self, name: str, detail: str = "", end: BraidWord | None = None,
-                 ledger: CobordismLedger | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "ledger", ledger)
 
     @property
     def ok(self) -> bool:
@@ -54,11 +47,11 @@ def replay_record(rec: KnotRecord) -> ScriptResult:
     try:
         script = load_script(rec.script_ref)
         if not equal(script.start, rec.braid):
-            return ScriptResult(rec.name, "script start differs from stored braid")
+            return ScriptResult(rec.name, "script start differs from stored braid", None, None)
         end, ledger = run_script(script)
     except (ScriptError, BraidError, OSError) as e:
-        return ScriptResult(rec.name, str(e))
-    return ScriptResult(rec.name, end=end, ledger=ledger)
+        return ScriptResult(rec.name, str(e), None, None)
+    return ScriptResult(rec.name, "", end, ledger)
 
 
 def verify_corpus() -> CorpusReport:

@@ -21,7 +21,7 @@ import json
 import os
 
 from . import HatlabError, Record, decode, read_data
-from .braid import BraidError, BraidWord, closure_components, parse_braid, self_linking
+from .braid import BraidError, closure_components, parse_braid, self_linking
 
 
 class DatabaseError(HatlabError):
@@ -29,19 +29,8 @@ class DatabaseError(HatlabError):
 
 
 class KnotRecord(Record):
+    # script_ref is a bare file name under data/scripts/; target is a (label, hat degree) pair
     __slots__ = ("name", "braid", "slice_genus", "determinant_one", "script_ref", "target", "note")
-
-    def __init__(self, name: str, braid: BraidWord, slice_genus: int, determinant_one: bool,
-                 script_ref: str | None = None,  # file name under data/scripts/
-                 target: tuple[str, int] | None = None,  # (torus/singularity label, hat degree)
-                 note: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "slice_genus", slice_genus)
-        object.__setattr__(self, "determinant_one", determinant_one)
-        object.__setattr__(self, "script_ref", script_ref)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "note", note)
 
     @property
     def slk(self) -> int:

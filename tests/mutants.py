@@ -187,6 +187,20 @@ MUTANTS = [
     # BraidWord: construction does not check the letters
     ("braid.py", "        for g in letters:\n            if g == 0 or abs(g) >= strands:",
      "        for g in ():\n            if g == 0 or abs(g) >= strands:", "test_braid.py"),
+    # read_int: a leading plus sign is read
+    ("__init__.py", 'digits = text[1:] if text.startswith("-") else text',
+     'digits = text[1:] if text.startswith(("-", "+")) else text', "test_db_cli.py"),
+    # read_int: non-ASCII digits such as the fullwidth 3 are read
+    ("__init__.py", "if not (digits.isascii() and digits.isdigit()):",
+     "if not digits.isdigit():", "test_db_cli.py"),
+    # reproduce: a report with a failing line exits 0
+    ("cli.py", "    return 1 if bad else 0\n", "    return 0\n", "test_db_cli.py"),
+    # main: an OSError reading a file escapes as a traceback instead of exit 2
+    ("cli.py", "except (HatlabError, OSError) as e:", "except HatlabError as e:", "test_db_cli.py"),
+    # verify_corpus: results keep the database's order instead of sorting by name
+    ("corpus.py", "    results.sort(key=lambda r: r.name)\n", "", "test_corpus.py"),
+    # replay_record: a script replays even when its start differs from the stored braid
+    ("corpus.py", "if not equal(script.start, rec.braid):", "if False:", "test_corpus.py"),
 ]
 
 

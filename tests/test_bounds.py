@@ -248,10 +248,10 @@ def test_bounds_report():
     assert rep.slice_genus == 5
     assert rep.degree_lb == 5
     assert rep.genus_lb == 1  # smallest triangular >= 5 is 6
-    assert rep.genus_by_degree[6] == 5
+    assert rep.genus_by_degree[1] == (6, 5)
     rep = bounds_report(-7)
     assert rep.genus_lb == 3
-    assert rep.genus_by_degree[1] == 3
+    assert rep.genus_by_degree[0] == (1, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -307,10 +307,12 @@ def test_bounds_report_degree_lb_is_the_least_feasible_degree():
             while (d * d - 3 * d + 2) < slk + 1:
                 d += 1
             assert rep.degree_lb == d
-            assert rep.genus_lb == rep.genus_by_degree[rep.degree_lb] == min(
-                rep.genus_by_degree.values())
+            degrees = [deg for deg, _ in rep.genus_by_degree]
+            assert degrees == list(range(rep.degree_lb, rep.degree_lb + len(degrees)))
+            assert rep.genus_lb == rep.genus_by_degree[0][1] == min(
+                genus for _, genus in rep.genus_by_degree)
             if g_s is None or 2 * g_s == slk + 1:
                 assert rep.genus_lb == (triangular_lb(g_s)[2] if g_s is not None
                                         else -(slk + 1) // 2)
-            for deg, genus in rep.genus_by_degree.items():
+            for deg, genus in rep.genus_by_degree:
                 assert (deg * deg - 3 * deg + 1) - 2 * genus == slk

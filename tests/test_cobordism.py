@@ -42,7 +42,7 @@ HEAD = "strands: 3\nstart: xy\n"
 
 def test_empty_script_is_identity_cobordism():
     w = parse_braid("xy^2x^2y^7", 3)
-    end, ledger = run_script(MoveScript(start=w))
+    end, ledger = run_script(MoveScript(start=w, moves=()))
     assert end == w
     assert ledger.bands == 0
     assert ledger.euler == 0
@@ -102,8 +102,7 @@ _STEP_ERRORS = [
     ([("cyc", 1), ("eq", parse_braid("x^3", 3))],
      "step 1 (eq x^3): uncertifiable rewrite: yxyx != x^3"),
     ([("eq", BraidWord(3))], "step 0 (eq 1): uncertifiable rewrite: xyxy != 1"),
-    ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target has wrong strand count"
-     " (operand 1 is in B_2, the word in B_3)"),
+    ([("eq", parse_braid("x", 2))], "step 0 (eq x): rewrite target is in B_2, the word in B_3"),
     ([("ins", 5, 1)], "step 0 (ins 5 x): insert position 5 out of range"),
     ([("ins", 0, 3)], "step 0 (ins 0 z): insert index 3 out of range"),
     ([("ins", 0, 0)], "step 0 (ins 0 s0): insert index 0 out of range"),
@@ -111,8 +110,8 @@ _STEP_ERRORS = [
      "step 0 (cc 0 x): crossing change expects sigma_1^-1 at position 0, found letter 1"),
     ([("cc", 4, 2)], "step 0 (cc 4 y): crossing-change position 4 out of range"),
     ([("cc", 0, 3)], "step 0 (cc 0 z): crossing-change index 3 out of range"),
-    ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts"
-     " (operand 1 is in B_2, the word in B_3)"),
+    ([("conj", parse_braid("x", 2))], "step 0 (conj x): conjugation requires equal strand counts:"
+     " the word is in B_3, the conjugator in B_2"),
     ([("stab", 2)], "step 0 (stab 2): stabilization sign must be +1 or -1"),
     ([("destab",)], "step 0 (destab): destabilization needs exactly one sigma_2 letter, found 2"),
     ([("stab", -1), ("destab",)],
@@ -230,12 +229,11 @@ def test_serialize_refuses_what_parse_script_cannot_read(moves, message):
     # conj x would read in B_3 and replay to xyxyX
     ((("eq", parse_braid("yxy", 3)), ("conj", BraidWord(2, (1,)))),
      "move 1: 'conj' operand 1 must be a word in B_3, not B_2",
-     "step 1 (conj x): conjugation requires equal strand counts"
-     " (operand 1 is in B_2, the word in B_3)"),
+     "step 1 (conj x): conjugation requires equal strand counts:"
+     " the word is in B_3, the conjugator in B_2"),
     ((("eq", BraidWord(4, (1, 2, 1))),),
      "move 0: 'eq' operand 1 must be a word in B_3, not B_4",
-     "step 0 (eq xyx): rewrite target has wrong strand count"
-     " (operand 1 is in B_4, the word in B_3)"),
+     "step 0 (eq xyx): rewrite target is in B_4, the word in B_3"),
     ((("ins", 0, 5),), "move 0: 'ins' operand 2 must be a generator in 1..2, got 5",
      "step 0 (ins 0 s5): insert index 5 out of range"),
     ((("cc", 0, 0),), "move 0: 'cc' operand 2 must be a generator in 1..2, got 0",
@@ -716,7 +714,7 @@ def test_component_trace_matches_every_intermediate_word():
             kinds.add(move if move[0] == "stab" else move[0])
         end, ledger = run_script(script)
         assert end == w
-        assert ledger.component_trace == expect, serialize_script(script)
+        assert ledger.component_trace == tuple(expect), serialize_script(script)
     assert len(kinds) == 8, kinds  # all seven moves, and stab with both signs
 
 
@@ -765,7 +763,8 @@ def test_component_trace_follows_the_insert_cursor_both_ways():
                 w = apply_move(w, move)
                 expect.append(closure_components(w))
                 kinds.add(move if move[0] == "stab" else move[0])
-            assert run_script(script)[1].component_trace == expect, serialize_script(script)
+            assert run_script(script)[1].component_trace == tuple(expect), \
+                serialize_script(script)
     assert len(kinds) == 7, kinds  # every move but eq, and stab with both signs
 
 

@@ -50,7 +50,7 @@ def test_determinant_one_list():
 
 
 def test_bad_record_aborts_with_name():
-    rec = KnotRecord("bogus", parse_braid("x^3", 2), 0, False)
+    rec = KnotRecord("bogus", parse_braid("x^3", 2), 0, False, None, None, "")
     with pytest.raises(DatabaseError) as exc:
         check_record(rec, "knots[0] (bogus)")
     assert str(exc.value) == "knots[0] (bogus): slk 1 != 2*0 - 1 (quasipositive adjunction violated)"
@@ -98,7 +98,8 @@ def test_corpus_replays_21_of_21():
 
 def test_failing_script_is_named(tmp_path):
     rec = get_knot("m(8_20)")
-    broken = KnotRecord(rec.name, parse_braid("x^3yX^3y^3", 3), 1, False, rec.script_ref)
+    broken = KnotRecord(rec.name, parse_braid("x^3yX^3y^3", 3), 1, False, rec.script_ref,
+                        None, "")
     result = replay_record(broken)
     assert not result.ok
     assert "start" in result.detail or "step" in result.detail
@@ -112,7 +113,7 @@ def test_script_file_that_is_not_utf8_fails_with_its_offset(tmp_path, monkeypatc
     (scripts / "latin1.txt").write_bytes(b"strands: 3\nstart: x\xe9\n")
     # hatlab.read_data finds data/ beside the package's __file__
     monkeypatch.setattr(hatlab, "__file__", str(tmp_path / "__init__.py"))
-    result = replay_record(KnotRecord(rec.name, rec.braid, 0, False, "latin1.txt"))
+    result = replay_record(KnotRecord(rec.name, rec.braid, 0, False, "latin1.txt", None, ""))
     assert result.detail == "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"
 
 

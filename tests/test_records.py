@@ -10,13 +10,13 @@ import pytest
 
 import hatlab
 from hatlab import Record
-from hatlab.bounds import HatBoundReport
-from hatlab.braid import BraidWord, NormalForm
-from hatlab.cobordism import CobordismLedger, MoveScript
-from hatlab.corpus import CorpusReport, ScriptResult
-from hatlab.covers import DoubleCoverBooks
-from hatlab.curves import Annotated, GromovDetail, SearchReport
-from hatlab.db import KnotRecord
+from hatlab.bounds import HatBoundReport, bounds_report
+from hatlab.braid import BraidWord, NormalForm, normal_form, parse_braid
+from hatlab.cobordism import CobordismLedger, MoveScript, run_script, to_torus_script
+from hatlab.corpus import CorpusReport, ScriptResult, verify_corpus
+from hatlab.covers import DoubleCoverBooks, double_cover_books
+from hatlab.curves import Annotated, GromovDetail, SearchReport, search
+from hatlab.db import KnotRecord, load_db
 
 
 def _detail():
@@ -36,12 +36,12 @@ _CASES = [
     (BraidWord, lambda: [3, (1, -2)]),
     (NormalForm, lambda: [3, -1, ((0, 2, 1), (1, 2, 0))]),
     (MoveScript, lambda: [BraidWord(3, (1,)), (("cyc", 1), ("stab", -1))]),
-    (CobordismLedger, lambda: [0, 2, 0, 1, 3, [1, 2, 1]]),
+    (CobordismLedger, lambda: [0, 2, 0, 1, 3, (1, 2, 1)]),
     (ScriptResult, lambda: ["m9_46", "", BraidWord(3, (1, 1, -2)), None]),
     (CorpusReport, lambda: [(_replay(), _replay())]),
     (KnotRecord, lambda: ["8_21", BraidWord(3, (1, 1, 1)), 1, False, "8_21.txt",
                           ("T(2,5)", 3), "a note"]),
-    (HatBoundReport, lambda: [9, 5, 4, 2, {4: 2, 5: 5}]),
+    (HatBoundReport, lambda: [9, 5, 4, 2, ((4, 2), (5, 5))]),
     (DoubleCoverBooks, lambda: [4, 18, -12, "undetermined"]),
     (GromovDetail, lambda: [True, False, True, True, False]),
     (Annotated, lambda: [5, (2, 1), _detail(), True]),
@@ -65,8 +65,7 @@ def test_record_behaviour(cls, make):
     a, b = cls(*values), cls(**dict(zip(names, make())))
     assert [getattr(a, n) for n in names] == values
     assert a == b and not a != b
-    if not any(isinstance(v, (dict, list)) for v in values):
-        assert hash(a) == hash(b) == hash(tuple(values))
+    assert hash(a) == hash(b) == hash(tuple(values))
     # every field takes part in equality, the last one too
     for i in range(len(names)):
         changed = values[:i] + [object()] + values[i + 1:]
@@ -92,11 +91,40 @@ def test_record_behaviour(cls, make):
         cls(*values, **{names[0]: values[0]})  # the first field twice
 
 
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("hatlab."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_only_checking_or_per_solution_classes_define_init():
+    # Record.__init__ builds every other class.  BraidWord and CobordismLedger
+    # check their fields, and a search builds an Annotated once per solution.
+    classes = set(_record_classes())
+    assert classes == {cls for cls, _ in _CASES}
+    assert {cls for cls in classes if "__init__" in vars(cls)} == \
+        {BraidWord, CobordismLedger, Annotated}
+
+
+def test_returned_records_hash_and_stay_frozen():
+    w = parse_braid("xyxy", 3)
+    end, ledger = run_script(to_torus_script(w))
+    records = [end, ledger, normal_form(w), to_torus_script(w), verify_corpus(), load_db()[0],
+               bounds_report(9), bounds_report(-7, 0), double_cover_books(5, -8),
+               search(3, 1, 0, 20)]
+    for record in records:
+        assert hash(record) == hash(copy.deepcopy(record)), record
+    with pytest.raises(AttributeError):
+        ledger.component_trace.append(7)
+    assert ledger == run_script(to_torus_script(w))[1]
+
+
 def test_record_reprs_print_every_field():
     assert repr(BraidWord(3, (1, -2))) == "BraidWord(strands=3, letters=(1, -2))"
     assert repr(NormalForm(3, -1, ((0, 2, 1), (1, 2, 0)))) == \
         "NormalForm(strands=3, power=-1, factors=((0, 2, 1), (1, 2, 0)))"
-    assert repr(KnotRecord("8_21", BraidWord(3, (1, 1, 1)), 1, False)) == (
+    assert repr(KnotRecord("8_21", BraidWord(3, (1, 1, 1)), 1, False, None, None, "")) == (
         "KnotRecord(name='8_21', braid=BraidWord(strands=3, letters=(1, 1, 1)), "
         "slice_genus=1, determinant_one=False, script_ref=None, target=None, note='')")
 
