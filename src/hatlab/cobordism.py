@@ -12,7 +12,11 @@ p*y*s iff x = y in a group), and replay fails loudly on an uncertifiable
 step, so a script that replays is a proof of every equality it uses.
 Each identity is certified once, when its script is replayed:
 ``to_torus_script`` neither checks its combing nor replays its script, so
-the caller's replay is the one certification of every step.
+the caller's replay is the one certification of every step.  Its first
+``eq`` certifies the combing as one freely reduced word, not as the
+letter-for-letter product of conjugated squares: the neighbouring
+conjugators cancel, and ``normal_form``'s cost grows with the square of the
+word's length.
 
 Replay records the closure's component count, the number of cycles of the
 word's permutation, after every move.  ``conj`` and ``cyc`` conjugate the
@@ -434,6 +438,31 @@ def _comb(n: int, letters: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _reduced_combing(head: tuple[int, ...], factors: list[tuple[int, ...]]
+                     ) -> tuple[list[int], list[int]]:
+    """``head`` followed by the factors, freely reduced in one stack pass, and
+    the index where each factor's square lands.
+
+    A letter of a square is never cancelled, so no cancelled pair straddles a
+    square: replacing every square by some braid, in this word and in head
+    times the factors alike, leaves the two equal.
+    """
+    word, squares, floor = list(head), [], 0
+    for f in factors:
+        k = len(f) // 2 - 1  # conjugator length
+        for t, g in enumerate(f):
+            if t == k:
+                # The square lands here; neither of its letters, nor any letter
+                # below them, ever cancels.
+                squares.append(len(word))
+                floor = len(word) + 2
+            if len(word) > floor and word[-1] == -g:
+                word.pop()
+            else:
+                word.append(g)
+    return word, squares
+
+
 def to_torus_script(w: BraidWord) -> MoveScript:
     """Build a script from a knot braid to a positive torus braid.
 
@@ -442,11 +471,15 @@ def to_torus_script(w: BraidWord) -> MoveScript:
 
     The output conjugates ``w`` by one positive permutation braid, which
     aligns its permutation with the cycle of ``beta0 = s1 s2 ... s_{n-1}``,
-    rewrites the result into ``beta0`` times an explicit product of
-    conjugated squares, cancels the negative squares by inserting their
-    positive mates, grows every positive square into the literal full twist
+    rewrites the result into ``beta0`` times the conjugated squares of
+    ``comb_pure``, written as one freely reduced word in which no letter of a
+    square cancels, cancels the negative squares by inserting their positive
+    mates, grows every positive square into the literal full twist
     ``(s1 ... s_{n-1})^n`` letter by letter, and ends at ``beta0 *
-    Delta^{2m}``, whose closure is the torus knot T(n, mn+1).
+    Delta^{2m}``, whose closure is the torus knot T(n, mn+1).  The full twist
+    is central and a square with its mates is trivial, so the word after the
+    inserts equals the end word although the conjugators between the squares
+    were reduced.
     """
     n = w.strands
     beta0 = BraidWord(n, tuple(range(1, n)))
@@ -458,20 +491,17 @@ def to_torus_script(w: BraidWord) -> MoveScript:
         cur = conjugate(cur, c)
 
     # cur's permutation is beta0's, so beta0^-1 cur is pure.  Replaying this
-    # eq step certifies cur == beta0 * factors, the one certification of the
-    # combing.
+    # eq step certifies cur == beta0 * factors, freely reduced: the one
+    # certification of the combing.
     factors = comb_pure(inverse(beta0) * cur)
-    stage1 = BraidWord(n, beta0.letters + tuple(g for f in factors for g in f))
-    moves.append(("eq", stage1))
+    letters, squares = _reduced_combing(beta0.letters, factors)
+    moves.append(("eq", BraidWord(n, tuple(letters))))
 
     # Work right to left so earlier offsets survive the insertions.
     twist = full_twist(n).letters
     positive = 0
-    off = len(stage1)
-    for f in reversed(factors):
-        off -= len(f)
+    for f, mid in zip(reversed(factors), reversed(squares)):
         k = len(f) // 2 - 1  # conjugator length
-        mid = off + k
         if f[k] < 0:
             # u s^-2 u^-1: insert the cancelling square right after it.
             moves += [("ins", mid + 2, -f[k])] * 2

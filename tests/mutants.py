@@ -108,6 +108,13 @@ MUTANTS = [
     ("cobordism.py", "(f[k] - 1, ", "(f[k], ", "test_cobordism.py"),
     # to_torus_script: each letter of the twist is inserted one position too far right
     ("cobordism.py", '("ins", mid + t, g)', '("ins", mid + t + 1, g)', "test_cobordism.py"),
+    # _reduced_combing: a square's letters cancel like any other
+    ("cobordism.py", "floor = len(word) + 2", "floor = 0", "test_cobordism.py"),
+    # _reduced_combing: a square's index is recorded at its second letter
+    ("cobordism.py", "squares.append(len(word))", "squares.append(len(word) + 1)",
+     "test_cobordism.py"),
+    # _reduced_combing: nothing cancels, so the first eq is beta0 and the factors letter for letter
+    ("cobordism.py", "if len(word) > floor and word[-1] == -g:", "if False:", "test_cobordism.py"),
     # _comb: the strand-free residue is combed before its free reduction
     ("cobordism.py", "_comb(n - 1, list(reduced.letters))", "_comb(n - 1, list(d))",
      "test_cobordism.py"),
