@@ -15,19 +15,27 @@ generator starting A_{j+1} also finishes A_j), and no A_j is the identity
 or Delta.  Two words represent the same element iff their normal forms
 coincide, which also makes the normal form a canonical dictionary key.
 
-The normal form is computed in one pass.  Each sigma_i^-1 is written as
-Delta^-1 * (Delta sigma_i^-1), a negative power of Delta times a
-permutation braid, and every Delta^-1 is moved to the front.  Moving it
-past a letter conjugates that letter by Delta, which mirrors its index
-i -> n - i, so a letter followed by an odd number of negative letters is
-mirrored and the power starts at minus the number of negative letters.
+The normal form is computed in two passes over the letters.  The first
+lifts literal full twists: Delta^2 is central, so NF(x Delta^2) =
+Delta^2 NF(x), and each block spelled as ``full_twist`` spells it,
+(sigma_1 ... sigma_{n-1})^n, is deleted from a stack of the letters as it
+completes and counted as Delta^2 in the power.  A block that completes only
+once an inner block is deleted is lifted too.  No other spelling of Delta^2
+is looked for, and no pair sigma_i sigma_i^-1 is cancelled: what is left
+goes to the Garside loop, which is correct on any word.  In that loop each
+sigma_i^-1 is written as Delta^-1 * (Delta sigma_i^-1), a negative power of
+Delta times a permutation braid, and every Delta^-1 is moved to the front.
+Moving it past a letter conjugates that letter by Delta, which mirrors its
+index i -> n - i, so a letter followed by an odd number of negative letters
+is mirrored and the power loses one per negative letter.
 The positive factors are then left-weighted pair by pair, right to left, as
 they arrive, which leaves Delta only at the front and identities only at the
 end (Epstein et al., *Word Processing in Groups*, ch. 9); no sweep follows.
 Each call builds two factor tables once, the transposition sigma_i and
 C_i = Delta sigma_i^-1 for every i, and each letter appends its entry.
-``equal`` normalizes only the letters between two words' shared ends, so
-an ``eq`` step certifies only the stretch it rewrites: B_n is a group.
+Before either pass, ``equal`` trims the two words' shared ends and
+normalizes only the letters between them, so an ``eq`` step certifies only
+the stretch it rewrites: B_n is a group.
 
 This module owns every spelling of a letter: ``parse_braid`` reads braid
 text, ``parse_generator`` reads one generator operand of a script (a
@@ -405,19 +413,41 @@ def _fix_pair(a: tuple[int, ...], b: tuple[int, ...]):
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """Canonical left Garside normal form of the word."""
+    """Canonical left Garside normal form of the word.
+
+    Each literal ``full_twist(n)`` block is lifted first, as Delta^2 in the
+    power; the Garside loop then normalizes the letters that are left.
+    """
     n, letters = w.strands, w.letters
     idp = tuple(range(n))
     w0 = tuple(range(n - 1, -1, -1))
     # tau[i] = sigma_i swaps the entries i-1, i; c[i] = C_i swaps the values i-1, i of Delta
     tau = [idp] + [idp[:i - 1] + (i, i - 1) + idp[i + 1:] for i in range(1, n)]
     c = [w0] + [w0[:n - i - 1] + (i - 1, i) + w0[n - i + 1:] for i in range(1, n)]
+    power = 0
+    if n > 1:
+        # Delta^2 is central, so NF(x Delta^2) = Delta^2 NF(x): each literal
+        # full twist that completes on the stack is deleted and counted in
+        # the power.  run[k] is the length of the twist prefix that ends at
+        # kept[k - 1]; the twist's periods hold distinct letters, so a letter
+        # that does not extend a prefix starts one only if it is sigma_1.
+        twist = full_twist(n).letters
+        kept, run = [], [0]
+        for g in letters:
+            r = run[-1]
+            r = r + 1 if g == twist[r] else int(g == 1)
+            kept.append(g)
+            run.append(r)
+            if r == len(twist):
+                del kept[-r:], run[-r:]
+                power += 2
+        letters = kept
     # Each sigma_i^-1 is Delta^-1 * C_i.  Moving a Delta^-1 left past a
     # letter conjugates that letter by Delta, which mirrors its index
     # i -> n - i, so a letter is mirrored once per negative letter to its
     # right: only the parity of that count matters.
-    power = -sum(1 for g in letters if g < 0)
-    right = -power  # negative letters to the right of the current one
+    right = sum(1 for g in letters if g < 0)  # negative letters to the right of the current one
+    power -= right
     fac: list[tuple[int, ...]] = []
     for g in letters:
         i = abs(g)

@@ -16,7 +16,11 @@ the caller's replay is the one certification of every step.  Its first
 ``eq`` certifies the combing as one freely reduced word, not as the
 letter-for-letter product of conjugated squares: the neighbouring
 conjugators cancel, and ``normal_form``'s cost grows with the square of the
-word's length.
+word's length.  Its last ``eq`` states ``beta0 * Delta^{2m}`` against a word
+in which every positive square has grown into the literal full twist;
+``normal_form`` lifts each such twist into the power of Delta before its
+Garside loop, so that step pays for the letters between the twists, not
+for the twists.
 
 Replay records the closure's component count, the number of cycles of the
 word's permutation, after every move.  ``conj`` and ``cyc`` conjugate the

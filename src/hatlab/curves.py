@@ -229,7 +229,8 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     the walk reuses counts in full each time, so ``nodes`` and whether the
     cap trips do not depend on the reuse.  The walk nests one call per
     blow-up, so a search with more blow-ups than Python's recursion limit
-    allows raises :class:`SearchError` too.
+    allows raises :class:`SearchError` too.  A refused argument is named by
+    the ``hatlab search`` option that sets it, with the value given.
 
     The cyclic garbage collector is paused while the search runs, as its
     records form no cycles; on exit, after a :class:`SearchError` too, it is
@@ -237,15 +238,15 @@ def search(p: int, blowups: int, a_min: int, a_max: int, genus: int = 0) -> Sear
     process-wide, which is safe as hatlab runs one thread.
     """
     if p < 2:
-        raise SearchError(f"p must be >= 2, got {p}")
+        raise SearchError(f"--p must be >= 2, got {p}")
     if blowups < 0:
-        raise SearchError(f"blowups must be >= 0, got {blowups}")
+        raise SearchError(f"--blowups must be >= 0, got {blowups}")
     if genus < 0:
-        raise SearchError(f"genus must be >= 0, got {genus}")
+        raise SearchError(f"--genus must be >= 0, got {genus}")
     if a_min < 0:
-        raise SearchError(f"a_min must be >= 0, got {a_min}")
+        raise SearchError(f"--amin must be >= 0, got {a_min}")
     if a_max < a_min:
-        raise SearchError(f"a_min {a_min} > a_max {a_max}")
+        raise SearchError(f"--amin {a_min} > --amax {a_max}")
     # T(p,p+1)#T(2,3), the link of the two cusps, has maximal slk p^2 - p + 1
     slk = p * p - p + 1
     # a rational cuspidal curve with a simple cusp has self-intersection at

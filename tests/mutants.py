@@ -27,13 +27,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60  # the longest module takes about 5 s against the unmutated copy
 
+# normal_form's pass that lifts literal full twists, from the twist to its count
+_LIFT = """        twist = full_twist(n).letters
+        kept, run = [], [0]
+        for g in letters:
+            r = run[-1]
+            r = r + 1 if g == twist[r] else int(g == 1)
+            kept.append(g)
+            run.append(r)
+            if r == len(twist):
+                del kept[-r:], run[-r:]
+                power += 2
+"""
+
 # (file under src/hatlab/, exact old text, new text, test module under tests/)
 MUTANTS = [
     # normal_form: a letter followed by an odd number of negative letters is not mirrored
     ("braid.py", "if right & 1:", "if False:", "test_braid.py"),
-    # normal_form: the power of Delta starts at plus, not minus, the negative letters
-    ("braid.py", "power = -sum(1 for g in letters if g < 0)",
-     "power = sum(1 for g in letters if g < 0)", "test_braid.py"),
+    # normal_form: the power of Delta gains, not loses, one per negative letter
+    ("braid.py", "power -= right", "power += right", "test_braid.py"),
+    # normal_form: a lifted full twist adds Delta, not Delta^2, to the power
+    ("braid.py", "power += 2", "power += 1", "test_braid.py"),
+    # normal_form: a full twist one letter short is lifted as a full twist
+    ("braid.py", "if r == len(twist):", "if r == len(twist) - 1:", "test_braid.py"),
+    # normal_form: the half twist Delta is lifted as Delta, as if it were central (only in B_2)
+    ("braid.py", _LIFT, _LIFT.replace("full_twist(n)", "simple_word(w0)").replace("+= 2", "+= 1"),
+     "test_braid.py"),
     # _fix_pair: after a slide the scan moves on instead of stepping back
     ("braid.py", "i = i - 1 if i > 1 else 1", "i += 1", "test_braid.py"),
     # _fix_pair: the step back reaches index 0, which compares the last entry with the first

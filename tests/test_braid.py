@@ -1,5 +1,6 @@
 """Braid words, invariants, and the word-problem decision procedure."""
 
+import hashlib
 import itertools
 import random
 
@@ -641,6 +642,118 @@ def test_full_twist_small_cases():
     assert equal(parse_braid("x^2yx^2y", 3), parse_braid("xyxyxy", 3))
     with pytest.raises(BraidError, match=r"^strand count must be >= 1$"):
         full_twist(0)
+
+
+# ---------------------------------------------------------------------------
+# literal full twists lifted out of the normal form
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_a_literal_full_twist_adds_two_to_the_power(n, data):
+    # Delta^2 is central, so NF(p Delta^2 s) = Delta^2 NF(p s); in B_1 Delta is the identity
+    p, s = (data.draw(_letters(n)) if n > 1 else () for _ in range(2))
+    nf = normal_form(BraidWord(n, p + s))
+    lifted = normal_form(BraidWord(n, p + full_twist(n).letters + s))
+    assert lifted == NormalForm(n, nf.power + (2 if n > 1 else 0), nf.factors)
+
+
+def _garside_steps(monkeypatch):
+    """Count the calls of ``_fix_pair``, the Garside loop's one step."""
+    calls = [0]
+    real = braid._fix_pair
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(braid, "_fix_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_only_the_spelling_of_full_twist_is_lifted(monkeypatch, n):
+    calls = _garside_steps(monkeypatch)
+    twist = full_twist(n).letters
+    assert twist == tuple(range(1, n)) * n  # sigma_1^2 at n = 2
+    assert normal_form(BraidWord(n, twist * 3)) == NormalForm(n, 6, ())
+    assert calls[0] == 0  # each block is lifted: the Garside loop sees no letter
+    # Delta * Delta spells Delta^2 too, but only at n = 2 is it the same spelling
+    assert normal_form(_delta(n) * _delta(n)) == NormalForm(n, 2, ())
+    assert (calls[0] == 0) == (n == 2)
+    # a block one letter short is Delta^2 sigma_{n-1}^-1 = Delta C_{n-1}
+    c = underlying_permutation(_delta(n) * BraidWord(n, (1 - n,)))
+    assert normal_form(BraidWord(n, twist[:-1])) == NormalForm(n, 1, (c,) if n > 2 else ())
+
+
+def test_a_twist_completed_after_an_inner_twist_is_lifted(monkeypatch):
+    calls = _garside_steps(monkeypatch)
+    # xy . xyxyxy . xyxy: once the inner twist is lifted, xy and xyxy close the outer one
+    assert normal_form(parse_braid("xy xyxyxy xyxy", 3)) == NormalForm(3, 4, ())
+    assert normal_form(parse_braid("xyzx xyzxyzxyzxyz yzxyzxyz", 4)) == NormalForm(4, 4, ())
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ("xxyxyxy", "xyxyxyx", True),  # a twist moved past a letter
+    ("XYXYXYxyxyxyx", "x", True),  # a twist cancelled against its inverse
+    ("xyxx", "xxyx", False),  # Delta = xyx is not central in B_3
+    ("xyxy", "yxyx", False),
+])
+def test_normal_forms_of_moved_and_cancelled_twists(a, b, same):
+    u, v = parse_braid(a, 3), parse_braid(b, 3)
+    assert (normal_form(u) == normal_form(v)) == equal(u, v) == artin_equal(u, v) == same
+
+
+def test_equal_agrees_with_artin_on_moved_and_cancelled_twists():
+    rng = random.Random(36)
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        twist, untwist = full_twist(n).letters, inverse(full_twist(n)).letters
+        delta = _delta(n).letters
+        p, q, s = (_mixed_word(rng, n, rng.randint(0, 6)).letters for _ in range(3))
+        g = _mixed_word(rng, n, 1).letters
+        pairs = [(p + twist + s, twist + p + s),  # moved past a word
+                 (p + g + twist + s, p + twist + g + s),  # moved past a letter
+                 (p + twist + s + untwist, p + s),  # cancelled against its inverse
+                 (p + untwist + q + twist + s, p + q + s),
+                 (p + twist + s, p + s),  # inserted: the power differs
+                 (p + delta + g + s, p + g + delta + s),  # Delta is central only in B_2
+                 (p + twist[1:] + g + s, p + g + twist[1:] + s)]
+        for a, b in pairs:
+            u, v = BraidWord(n, a), BraidWord(n, b)
+            same = artin_equal(u, v)
+            assert equal(u, v) == same, (u, v)
+            outcomes[same] += 1
+    assert min(outcomes.values()) > 150
+
+
+def _pinned_words():
+    """Seeded words at n = 1..16, positive, negative and mixed, each with 0, 1
+    or 2 literal full twists or their inverses inserted at seeded places."""
+    rng = random.Random(3600)
+    for n in range(1, 17):
+        twists = (full_twist(n).letters, inverse(full_twist(n)).letters)
+        for signs in ((1,), (-1,), (1, -1)):
+            for inserted in range(3):
+                letters = [rng.choice(signs) * rng.randint(1, n - 1)
+                           for _ in range(rng.randint(0, 40) if n > 1 else 0)]
+                for _ in range(inserted):
+                    at = rng.randint(0, len(letters))
+                    letters[at:at] = twists[rng.random() < 0.3]
+                yield BraidWord(n, tuple(letters))
+
+
+def test_normal_forms_of_seeded_words_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for w in _pinned_words():
+        nf = normal_form(w)
+        digest.update(f"{nf.strands} {nf.power} {nf.factors}\n".encode())
+        count += 1
+    assert count == 144
+    assert digest.hexdigest() == "99d893ec100d09f86ebeb1c5ad6213fdd3a505011f0d922ddfdd118d25e2d114"
 
 
 # ---------------------------------------------------------------------------

@@ -206,20 +206,20 @@ def test_search_order_independence():
 
 
 def test_search_rejects_an_empty_degree_range():
-    with pytest.raises(SearchError, match=r"^a_min 5 > a_max 4$"):
+    with pytest.raises(SearchError, match=r"^--amin 5 > --amax 4$"):
         search(3, 1, 5, 4)
 
 
 def test_search_rejects_negative_parameters():
     # no class has a negative coefficient, so no search may ask for one;
-    # each refusal names the parameter and its value
-    for args, genus, message in [((3, -1, 0, 6), 0, r"^blowups must be >= 0, got -1$"),
-                                 ((3, 1, -1, 6), 0, r"^a_min must be >= 0, got -1$"),
-                                 ((3, 1, 0, 6), -1, r"^genus must be >= 0, got -1$"),
-                                 ((3, -2, -1, -3), -1, r"^blowups must be >= 0, got -2$")]:
+    # each refusal names the option of hatlab search and its value
+    for args, genus, message in [((3, -1, 0, 6), 0, r"^--blowups must be >= 0, got -1$"),
+                                 ((3, 1, -1, 6), 0, r"^--amin must be >= 0, got -1$"),
+                                 ((3, 1, 0, 6), -1, r"^--genus must be >= 0, got -1$"),
+                                 ((3, -2, -1, -3), -1, r"^--blowups must be >= 0, got -2$")]:
         with pytest.raises(SearchError, match=message):
             search(*args, genus=genus)
-    with pytest.raises(SearchError, match=r"^p must be >= 2, got 1$"):
+    with pytest.raises(SearchError, match=r"^--p must be >= 2, got 1$"):
         search(1, 1, 0, 6)
 
 

@@ -286,8 +286,17 @@ def test_reproduce_cover_books_output(capsys):
     (["eq", "s0", "x", "--strands", "3"],  # BraidError
      "letter index 0 at column 0 in 's0' is outside 1..2 for 3 strands"),
     (["bounds", "--slk", "10"], "self-linking numbers of knots are odd"),  # BoundsError
+    # SearchError: each refusal names its option and the value given
     (["search", "--p", "1", "--blowups", "1", "--amin", "0", "--amax", "5"],
-     "p must be >= 2, got 1"),  # SearchError
+     "hatlab: error: --p must be >= 2, got 1\n"),
+    (["search", "--p", "3", "--blowups", "-1", "--amin", "0", "--amax", "5"],
+     "hatlab: error: --blowups must be >= 0, got -1\n"),
+    (["search", "--p", "3", "--blowups", "1", "--genus", "-1", "--amin", "0", "--amax", "5"],
+     "hatlab: error: --genus must be >= 0, got -1\n"),
+    (["search", "--p", "3", "--blowups", "1", "--amin", "-1", "--amax", "5"],
+     "hatlab: error: --amin must be >= 0, got -1\n"),
+    (["search", "--p", "3", "--blowups", "1", "--amin", "5", "--amax", "2"],
+     "hatlab: error: --amin 5 > --amax 2\n"),
     (["run-script", "{latin1}"],  # ScriptError
      "latin1.txt: not UTF-8 at byte 19: invalid continuation byte"),
     (["slk", "x^²", "--strands", "3"], "malformed power at column 1 in 'x^²'"),
