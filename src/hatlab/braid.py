@@ -40,8 +40,11 @@ the stretch it rewrites: B_n is a group.
 This module owns every spelling of a letter: ``parse_braid`` reads braid
 text, ``parse_generator`` reads one generator operand of a script (a
 positive letter name with no power), and ``braid_text`` prints words, all
-from the one alphabet ``_LETTERS``.  ``parse_braid`` reads no word longer
-than ``MAX_LETTERS`` letters and checks each power before expanding it.
+from the one alphabet ``_LETTERS``.  Both readers scan their text a
+character at a time, with no regular expression: whitespace is what
+``str.isspace`` says, and digits are ASCII 0-9 only.  ``parse_braid``
+reads no word longer than ``MAX_LETTERS`` letters and checks each power
+before expanding it.
 No word has more than ``MAX_STRANDS`` strands: ``BraidWord(...)``,
 ``parse_braid`` and ``markov_stabilize`` refuse a larger count.
 
@@ -61,8 +64,6 @@ letters and ``_cycle`` alone walks a cycle, for this module and ``cobordism``.
 """
 
 from __future__ import annotations
-
-import re
 
 from . import HatlabError, Record
 
@@ -127,11 +128,6 @@ def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-# One term of braid text; its digit runs may be empty, so parse_braid can say where.
-_TERM = re.compile(rf"\s*([{_LETTERS}{_LETTERS.upper()}]|[sS]([0-9]*))(\^-?[0-9]*)?")
-_GENERATOR_NAME = re.compile(rf"[{_LETTERS}]|s([0-9]+)")
-
-
 def _range_error(index: int, column: int, text: str, strands: int) -> BraidError:
     return BraidError(f"letter index {index} at column {column} in {text!r} is "
                       f"outside 1..{strands - 1} for {strands} strands")
@@ -140,6 +136,14 @@ def _range_error(index: int, column: int, text: str, strands: int) -> BraidError
 def _digits_error(column: int, text: str) -> BraidError:
     # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
     return BraidError(f"term at column {column} in {text!r} has a number too long to read")
+
+
+def _digits_end(text: str, i: int) -> int:
+    """The end of the run of ASCII digits that starts at ``text[i]``."""
+    end = len(text)
+    while i < end and "0" <= text[i] <= "9":
+        i += 1
+    return i
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
@@ -154,53 +158,80 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     A word longer than ``MAX_LETTERS`` letters, or on more than
     ``MAX_STRANDS`` strands, is refused; a power is checked before it is
     expanded.  Each error names its column in the stripped text.
+
+    The text is scanned once, a character at a time.  A term's errors come
+    in a fixed order: a numeric letter with no digits, then a power with no
+    digits, then a number too long to read, then an index out of range,
+    then a power that makes the word too long; an earlier term's error
+    comes before any of a later term's.
     """
     _check_max_strands(strands)
     text = text.strip()
     if text in ("", "1"):
         return BraidWord(strands)
     letters: list[int] = []
-    i = 0  # where the next term must start
-    for m in _TERM.finditer(text):
-        if m.start() != i:
-            break
-        name, digits, power = m.groups()
-        if digits == "":
-            raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
-        if power in ("^", "^-"):
-            raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+    end = len(text)
+    i = 0  # the next character to read
+    while i < end:
+        c = text[i]
+        i += 1
+        g = _SIGNED.get(c)
+        if g is not None and (i == end or text[i] != "^"):  # the common term: one named letter
+            if not -strands < g < strands:
+                raise _range_error(abs(g), i - 1, text, strands)
+            letters.append(g)
+            continue
+        column = i - 1  # the term's letter
+        if c.isspace():
+            continue
+        if g is None:
+            if c != "s" and c != "S":
+                raise BraidError(f"unknown letter {c!r} at column {column} in {text!r}")
+            i = _digits_end(text, i)
+            if i == column + 1:
+                raise BraidError(f"numeric generator needs digits at column {column}: {text!r}")
+            digits = text[column + 1:i]
+        power = ""
+        if i < end and text[i] == "^":
+            hat = i
+            i = _digits_end(text, i + 2 if text[i + 1:i + 2] == "-" else i + 1)
+            power = text[hat + 1:i]
+            if power in ("", "-"):
+                raise BraidError(f"malformed power at column {hat} in {text!r}")
         try:
-            g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
-            count = int(power[1:]) if power else 1
+            if g is None:
+                g = int(digits) if c == "s" else -int(digits)
+            count = int(power) if power else 1
         except ValueError:
-            raise _digits_error(m.start(1), text) from None
+            raise _digits_error(column, text) from None
         if not 0 < abs(g) < strands:
-            raise _range_error(abs(g), m.start(1), text, strands)
+            raise _range_error(abs(g), column, text, strands)
         if power:
             if len(letters) + abs(count) > MAX_LETTERS:
-                raise BraidError(f"power at column {m.start(3)} in {text!r} makes the word "
+                raise BraidError(f"power at column {hat} in {text!r} makes the word "
                                  f"longer than {MAX_LETTERS} letters")
             letters.extend([g if count > 0 else -g] * abs(count))
         else:
             letters.append(g)
-        i = m.end()
-    if i < len(text):
-        i = len(text) - len(text[i:].lstrip())
-        raise BraidError(f"unknown letter {text[i]!r} at column {i} in {text!r}")
     if len(letters) > MAX_LETTERS:
         raise BraidError(f"word of {len(letters)} letters is longer than {MAX_LETTERS} letters")
     return _word(strands, tuple(letters))
 
 
 def parse_generator(token: str, strands: int) -> int:
-    """Read a generator operand, ``x``..``w`` or ``s<k>`` with no power, as its index."""
-    m = _GENERATOR_NAME.fullmatch(token)
-    if m is None:
-        raise BraidError(f"expected a single positive generator, got {token!r}")
-    try:
-        i = _SIGNED[token] if m[1] is None else int(m[1])
-    except ValueError:
-        raise _digits_error(0, token) from None
+    """Read a generator operand, ``x``..``w`` or ``s<k>`` with no power, as its index.
+
+    The digits of ``s<k>`` are ASCII, as in :func:`parse_braid`.
+    """
+    i = _SIGNED.get(token, 0)
+    if i <= 0:  # not x..w: a capital, s<k> or nothing
+        digits = token[1:]
+        if token[:1] != "s" or not digits.isascii() or not digits.isdigit():
+            raise BraidError(f"expected a single positive generator, got {token!r}")
+        try:
+            i = int(digits)
+        except ValueError:
+            raise _digits_error(0, token) from None
     if not 0 < i < strands:
         raise _range_error(i, 0, token, strands)
     return i

@@ -16,11 +16,13 @@ the caller's replay is the one certification of every step.  Its first
 ``eq`` certifies the combing as one freely reduced word, not as the
 letter-for-letter product of conjugated squares: the neighbouring
 conjugators cancel, and ``normal_form``'s cost grows with the square of the
-word's length.  Its last ``eq`` states ``beta0 * Delta^{2m}`` against a word
-in which every positive square has grown into the literal full twist;
-``normal_form`` lifts each such twist into the power of Delta before its
-Garside loop, so that step pays for the letters between the twists, not
-for the twists.
+word's length.  Each conjugator is pruned before that: a letter that
+commutes with its square and with every letter kept after it is dropped,
+and every negative square's conjugator ends in one.  Its last ``eq``
+states ``beta0 * Delta^{2m}`` against a word in which every positive
+square has grown into the literal full twist; ``normal_form`` lifts each
+such twist into the power of Delta before its Garside loop, so that step
+pays for the letters between the twists, not for the twists.
 
 Replay records the closure's component count, the number of cycles of the
 word's permutation, after every move.  ``conj`` and ``cyc`` conjugate the
@@ -310,7 +312,10 @@ def parse_script(text: str) -> MoveScript:
             kinds, strand_change, _ = _MOVES[token]
             if len(operands) != len(kinds):
                 raise ScriptError(f"'{token}' takes {len(kinds)} operand(s), got {len(operands)}")
-            moves.append((token, *(read(t, strands) for t, (read, *_) in zip(operands, kinds))))
+            move = [token]
+            for t, kind in zip(operands, kinds):
+                move.append(kind[0](t, strands))
+            moves.append(tuple(move))
             strands += strand_change
         except HatlabError as e:
             raise ScriptError(f"line {lineno}: {e}") from e
@@ -402,7 +407,9 @@ def comb_pure(w: BraidWord) -> list[tuple[int, ...]]:
     the last strand sits parked at the right edge, a crossing that carries
     it over a neighbour emits one square conjugated by the processed prefix,
     and a crossing that carries it under is free.  The strand-free residue
-    is combed recursively.
+    is combed recursively.  Each conjugator u is pruned: no letter of u
+    commutes with the square and with every letter of u after it, since
+    such a letter would cancel against its inverse in u^-1.
 
     The factors are not certified here: ``to_torus_script`` writes their
     product into an ``eq`` step, and replaying that step certifies it.
@@ -427,19 +434,37 @@ def _comb(n: int, letters: list[int]) -> list[tuple[int, ...]]:
             d.append(pos * (i - 1))
         elif i == s:
             if pos > 0:
-                u = d + _moving_word(n, s + 1)
-                out.append(tuple(u + [s, s] + [-x for x in reversed(u)]))
+                out.append(_conjugated_square(d + _moving_word(n, s + 1), s))
             s += 1
         else:  # i == s - 1
             if pos < 0:
-                u = d + _moving_word(n, s - 1)
-                out.append(tuple(u + [-(s - 1), -(s - 1)] + [-x for x in reversed(u)]))
+                out.append(_conjugated_square(d + _moving_word(n, s - 1), -(s - 1)))
             s -= 1
     if s != n:
         raise BraidError("internal error: strand did not return home")
     reduced = free_reduce(BraidWord(n, tuple(d)))
     out.extend(_comb(n - 1, list(reduced.letters)))
     return out
+
+
+def _conjugated_square(u: list[int], g: int) -> tuple[int, ...]:
+    """u g^2 u^-1, without the letters of u that commute with g^2 and with
+    every letter kept after them.
+
+    sigma_a^{+-1} commutes with sigma_b^{+-1} and sigma_b^{+-2} unless
+    |a - b| = 1.  Walking u right to left, a letter whose index no kept
+    letter (nor g) neighbours commutes with all that is kept to its right,
+    so it passes through them and cancels against its inverse in u^-1.
+    """
+    blocked = {abs(g) - 1, abs(g) + 1}  # the indices that neighbour g or a kept letter
+    kept: list[int] = []  # u's kept letters, right to left
+    for x in reversed(u):
+        a = abs(x)
+        if a in blocked:
+            kept.append(x)
+            blocked.add(a - 1)
+            blocked.add(a + 1)
+    return tuple(kept[::-1] + [g, g] + [-x for x in kept])
 
 
 def _reduced_combing(head: tuple[int, ...], factors: list[tuple[int, ...]]

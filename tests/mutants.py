@@ -76,6 +76,15 @@ MUTANTS = [
     ("braid.py", "    if not 0 < i < strands:\n        raise _range_error(i, 0, token, strands)",
      "    if not 0 < i <= strands:\n        raise _range_error(i, 0, token, strands)",
      "test_cobordism.py"),
+    # parse_braid: a numeric letter with no digits is read, and int("") says it is too long
+    ("braid.py", "            if i == column + 1:\n                raise BraidError(f\"numeric generator "
+     "needs digits at column {column}: {text!r}\")\n", "", "test_braid.py"),
+    # parse_braid: the - of a power is ignored, so x^-2 reads as x^2
+    ("braid.py", "letters.extend([g if count > 0 else -g] * abs(count))",
+     "letters.extend([g] * abs(count))", "test_braid.py"),
+    # parse_generator: non-ASCII digits such as the fullwidth 3 are read
+    ("braid.py", "if token[:1] != \"s\" or not digits.isascii() or not digits.isdigit():",
+     "if token[:1] != \"s\" or not digits.isdigit():", "test_braid.py"),
     # parse_braid: a power is checked alone, not with the letters before it
     ("braid.py", "if len(letters) + abs(count) > MAX_LETTERS:", "if abs(count) > MAX_LETTERS:",
      "test_braid.py"),
@@ -134,6 +143,13 @@ MUTANTS = [
      "test_cobordism.py"),
     # _reduced_combing: nothing cancels, so the first eq is beta0 and the factors letter for letter
     ("cobordism.py", "if len(word) > floor and word[-1] == -g:", "if False:", "test_cobordism.py"),
+    # _conjugated_square: a conjugator letter next to the square's index is pruned
+    ("cobordism.py", "blocked = {abs(g) - 1, abs(g) + 1}", "blocked = {abs(g) - 1}",
+     "test_cobordism.py"),
+    # _conjugated_square: a conjugator letter next to a kept letter's index is pruned
+    ("cobordism.py", "            blocked.add(a - 1)\n", "", "test_cobordism.py"),
+    # _conjugated_square: no conjugator letter is pruned
+    ("cobordism.py", "if a in blocked:", "if True:", "test_cobordism.py"),
     # _comb: the strand-free residue is combed before its free reduction
     ("cobordism.py", "_comb(n - 1, list(reduced.letters))", "_comb(n - 1, list(d))",
      "test_cobordism.py"),

@@ -1,9 +1,11 @@
 """Brute-force reference implementations that the tests compare against."""
 
+import re
 from functools import cache
 from math import isqrt
 
-from hatlab.braid import BraidWord
+from hatlab.braid import (MAX_LETTERS, BraidError, BraidWord, _LETTERS, _SIGNED,
+                          _check_max_strands, _digits_error, _range_error, _word)
 
 
 def brute_force_solutions(p: int, blowups: int, a_min: int, a_max: int,
@@ -205,3 +207,63 @@ def closure_orbits(w: BraidWord) -> int:
                 pos -= 1
         parent[root(start)] = root(pos - 1)
     return sum(1 for x in range(w.strands) if root(x) == x)
+
+
+# The regex reader of braid text that hatlab's scanner replaced, kept as the
+# reference the scanner must agree with on every text: the same letters, or
+# the same BraidError text.
+_TERM = re.compile(rf"\s*([{_LETTERS}{_LETTERS.upper()}]|[sS]([0-9]*))(\^-?[0-9]*)?")
+_GENERATOR_NAME = re.compile(rf"[{_LETTERS}]|s([0-9]+)")
+
+
+def regex_parse_braid(text: str, strands: int) -> BraidWord:
+    """``braid.parse_braid`` as one regex match per term."""
+    _check_max_strands(strands)
+    text = text.strip()
+    if text in ("", "1"):
+        return BraidWord(strands)
+    letters: list[int] = []
+    i = 0  # where the next term must start
+    for m in _TERM.finditer(text):
+        if m.start() != i:
+            break
+        name, digits, power = m.groups()
+        if digits == "":
+            raise BraidError(f"numeric generator needs digits at column {m.start(1)}: {text!r}")
+        if power in ("^", "^-"):
+            raise BraidError(f"malformed power at column {m.start(3)} in {text!r}")
+        try:
+            g = _SIGNED[name] if digits is None else (int(digits) if name[0] == "s" else -int(digits))
+            count = int(power[1:]) if power else 1
+        except ValueError:
+            raise _digits_error(m.start(1), text) from None
+        if not 0 < abs(g) < strands:
+            raise _range_error(abs(g), m.start(1), text, strands)
+        if power:
+            if len(letters) + abs(count) > MAX_LETTERS:
+                raise BraidError(f"power at column {m.start(3)} in {text!r} makes the word "
+                                 f"longer than {MAX_LETTERS} letters")
+            letters.extend([g if count > 0 else -g] * abs(count))
+        else:
+            letters.append(g)
+        i = m.end()
+    if i < len(text):
+        i = len(text) - len(text[i:].lstrip())
+        raise BraidError(f"unknown letter {text[i]!r} at column {i} in {text!r}")
+    if len(letters) > MAX_LETTERS:
+        raise BraidError(f"word of {len(letters)} letters is longer than {MAX_LETTERS} letters")
+    return _word(strands, tuple(letters))
+
+
+def regex_parse_generator(token: str, strands: int) -> int:
+    """``braid.parse_generator`` as one regex match."""
+    m = _GENERATOR_NAME.fullmatch(token)
+    if m is None:
+        raise BraidError(f"expected a single positive generator, got {token!r}")
+    try:
+        i = _SIGNED[token] if m[1] is None else int(m[1])
+    except ValueError:
+        raise _digits_error(0, token) from None
+    if not 0 < i < strands:
+        raise _range_error(i, 0, token, strands)
+    return i

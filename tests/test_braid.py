@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hatlab import braid
 from hatlab.braid import (
@@ -30,7 +30,7 @@ from hatlab.braid import (
     underlying_permutation,
 )
 from hatlab.cobordism import _move_text
-from oracles import artin_equal, closure_orbits
+from oracles import artin_equal, closure_orbits, regex_parse_braid, regex_parse_generator
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,46 @@ def test_generator_names_read_back(n):
             parse_generator(token, n)
     assert braid._letter_name(0, True) == "s0"
     assert _move_text(("ins", 0, 0)) == "ins 0 s0"
+
+
+# Pieces of text for the readers: letters, ASCII and other digits, the power
+# syntax, the lone 1, Unicode whitespace and junk.
+_PIECES = list("xyzwXYZWsS0123456789^-1 \t\n") + [
+    "３", "²", "٣", "\u00a0", "\u0085", "\u3000", "\x1c", "q", "#", "+", "_", "é", "^-", "s1"]
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join) | st.text(max_size=12)
+
+
+def _outcome(read, text, strands):
+    """What a reader gives: its value, or the text of its BraidError."""
+    try:
+        return read(text, strands)
+    except BraidError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS, st.integers(min_value=0, max_value=12))
+@example("s" + "9" * 5000 + "^", 3)  # a malformed power comes before a number too long to read
+@example("S" + "0" * 5000 + "1^-", 3)
+@example("x^-" + "9" * 5000, 3)
+@example("s" + "9" * 5000 + "^2 q", 3)
+@example("x^" + "9" * 5000 + " s", 3)  # a number too long to read comes before a later term
+@example("s3 s", 3)  # an index out of range comes before a later term's missing digits
+@example("x^1000001 q", 2)
+@example("xy", 1001)
+def test_parse_braid_agrees_with_the_regex_reader(text, strands):
+    assert _outcome(parse_braid, text, strands) == _outcome(regex_parse_braid, text, strands)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS, st.integers(min_value=0, max_value=12))
+@example("s" + "9" * 5000, 3)
+@example("s３", 5)
+@example("s٣", 5)
+@example("s²", 5)
+@example("s" + "0" * 4, 5)
+def test_parse_generator_agrees_with_the_regex_reader(token, strands):
+    assert _outcome(parse_generator, token, strands) == _outcome(regex_parse_generator, token, strands)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +511,18 @@ def test_equal_cancels_shared_ends(n, data):
     p, x, y, s = (data.draw(_letters(n)) for _ in range(4))
     assert equal(BraidWord(n, p + x + s), BraidWord(n, p + y + s)) == equal(
         BraidWord(n, x), BraidWord(n, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_a_cancelling_pair_leaves_the_normal_form(n, data):
+    # NF(p g g^-1 s) = NF(p s), whether or not normal_form cancels the pair itself
+    p, s, u = (data.draw(_letters(n)) for _ in range(3))
+    g = data.draw(st.sampled_from([i for i in range(1, n)] + [-i for i in range(1, n)]))
+    w, v, u = BraidWord(n, p + (g, -g) + s), BraidWord(n, p + s), BraidWord(n, u)
+    assert normal_form(w) == normal_form(v)
+    assert equal(w, v) and equal(v, w)
+    assert equal(w, u) == equal(v, u) == (normal_form(v) == normal_form(u))
 
 
 @pytest.mark.parametrize("a, b, same", [

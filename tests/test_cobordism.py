@@ -468,6 +468,40 @@ def test_comb_pure_factor_counts(text, n, count):
     assert equal(BraidWord(n, tuple(g for f in factors for g in f)), w)
 
 
+# (word, strands, factors).  A conjugator letter that commutes with the square
+# and with every letter kept after it is pruned: sigma_a commutes with
+# sigma_b^2 unless |a - b| = 1: the combing walk gives XX the conjugator x
+# and xZZX the conjugator x z, and both are pruned away.
+@pytest.mark.parametrize("text, n, factors", [
+    ("XX", 3, [(-1, -1)]),
+    ("ZZ", 4, [(-3, -3)]),
+    ("xZZX", 4, [(-3, -3)]),
+    ("zYYZ", 4, [(3, -2, -2, -3)]),
+    ("xzYYZX", 4, [(1, 3, -2, -2, -3, -1)]),
+    ("YXXy", 3, [(-2, -2), (2, -1, -1, -2), (2, 2)]),
+])
+def test_comb_pure_prunes_commuting_conjugator_letters(text, n, factors):
+    w = parse_braid(text, n)
+    assert comb_pure(w) == factors
+    assert equal(BraidWord(n, tuple(g for f in factors for g in f)), w)
+
+
+def test_comb_pure_keeps_no_prunable_conjugator_letter():
+    rng = random.Random(37)
+    words = [_pure_word(n, rng, rng.randint(1, 5)) for n in range(2, 7) for _ in range(40)]
+    words += [inverse(BraidWord(w.strands, tuple(range(1, w.strands)))) * w for w in _torus_inputs()]
+    words = [w for w in words if underlying_permutation(w) == tuple(range(w.strands))]
+    assert len(words) > 200
+    for w in words:
+        for f in comb_pure(w):
+            k = len(f) // 2 - 1
+            u, g = f[:k], f[k]
+            assert f == u + (g, g) + inverse(BraidWord(w.strands, u)).letters
+            for j, x in enumerate(u):
+                # x is kept only if it fails to commute with g^2 or with a letter kept after it
+                assert any(abs(abs(x) - abs(y)) == 1 for y in (g,) + u[j + 1:]), (w, f, j)
+
+
 def test_comb_pure_rejects_non_pure():
     with pytest.raises(Exception):
         comb_pure(parse_braid("x", 2))
@@ -678,14 +712,14 @@ def test_torus_scripts_certify_a_reduced_combing():
 
 
 def test_torus_scripts_of_the_database_certify_fewer_letters():
-    # beta0 and the factors, letter for letter, are 1,690 letters; reduced, 1,058.
+    # beta0 and the factors, letter for letter, are 1,494 letters; reduced, 980.
     combed, certified = 0, 0
     for rec in load_db():
         script = to_torus_script(rec.braid)
         beta0, factors = _combing(rec.braid, script)
         combed += len(beta0) + sum(map(len, factors))
         certified += len(next(m[1] for m in script.moves if m[0] == "eq").letters)
-    assert (len(load_db()), combed, certified) == (22, 1690, 1058)
+    assert (len(load_db()), combed, certified) == (22, 1494, 980)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
